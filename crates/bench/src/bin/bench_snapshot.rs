@@ -698,8 +698,9 @@ fn digest_matrix(m: &Matrix) -> u64 {
 
 /// The `digest` mode: a fixed battery of deterministic computations
 /// through every SIMD-touched layer — blocked/parallel GEMM, the
-/// sequence/decode GEMV path, SpMM and GNN aggregation, the analog int8
-/// engine (ideal and noisy), and full Tron/Ghost functional forwards —
+/// sequence GEMV path, the int8 GEMV and an int8 KV-cached generation,
+/// SpMM and GNN aggregation, the analog int8 engine (ideal and noisy),
+/// and full Tron/Ghost functional forwards —
 /// reduced to result-bit digests. No timings, no thread counts, no
 /// environment: the output bytes depend only on the computed values, so
 /// CI runs this twice (`PHOX_FORCE_SCALAR=1` vs the AVX2 dispatch) and
@@ -744,6 +745,61 @@ fn run_digest(out_path: &str) {
     record("gemm_blocked", blocked);
     record("gemm_parallel_4t", banded);
     record("matmul_seq", seq);
+
+    // Int8 GEMV over ragged shapes: odd and even k, n on both sides of
+    // the 16- and 32-column SIMD blocks, the full i8 range, zeroed
+    // activation pairs (skipped by the SIMD kernel) and lone zeros.
+    let mut gemv = 0u64;
+    for (i, &(k, n)) in [(1usize, 1usize), (7, 31), (64, 33), (33, 65), (96, 769)]
+        .iter()
+        .enumerate()
+    {
+        let mut rng = Prng::new(300 + i as u64);
+        let mut next_i8 = || rng.next_u64() as u8 as i8;
+        let a: Vec<i8> = (0..k)
+            .map(|p| {
+                if (p / 2) % 3 == 1 || p % 7 == 3 {
+                    0
+                } else {
+                    next_i8()
+                }
+            })
+            .collect();
+        let b: Vec<i8> = (0..k * n).map(|_| next_i8()).collect();
+        let out = gemm_i8::gemv_i32(&a, &b, k, n).expect("shapes agree");
+        gemv ^= fnv1a(out.iter().map(|&v| u64::from(v as u32)));
+    }
+    record("int8_gemv", gemv);
+
+    // An int8 KV-cached generation on a small decoder-only model (head
+    // width 32, so the in-place score dots run their 16-lane body):
+    // prompt rows build the cache, then each output feeds the next step.
+    let dec_cfg = TransformerConfig {
+        name: "digest-decoder".to_string(),
+        kind: TransformerKind::DecoderOnly,
+        layers: 2,
+        d_model: 64,
+        heads: 2,
+        d_ff: 128,
+        seq_len: 16,
+        ff_activation: FfActivation::Gelu,
+    };
+    let dec_model = TransformerModel::random(dec_cfg.clone(), 46).expect("valid digest model");
+    let decoder = dec_model.int8_decoder();
+    let prompt = Prng::new(47).fill_normal(4, dec_cfg.d_model, 0.0, 1.0);
+    let mut cache = KvCache::new(&dec_cfg, dec_cfg.seq_len).expect("cache fits");
+    let mut next = Matrix::row_vector(prompt.row(0));
+    let mut steps = Vec::new();
+    for r in 1..dec_cfg.seq_len {
+        let out = decoder.step(&mut cache, &next).expect("decode step");
+        steps.extend(out.as_slice().iter().map(|v| v.to_bits()));
+        next = if r < prompt.rows() {
+            Matrix::row_vector(prompt.row(r))
+        } else {
+            out
+        };
+    }
+    record("int8_decode", fnv1a(steps));
 
     // Sparse: SpMM and mean aggregation on a small power-law graph.
     let graph = power_law(2_000, 10_000, 2.2, 33).expect("power-law instantiation");

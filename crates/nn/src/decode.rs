@@ -218,22 +218,19 @@ impl KvCache {
         }
         Ok(())
     }
+}
 
-    /// The head slice `lo..hi` of the cached K rows of `layer`,
-    /// transposed to `(hi-lo) × rows` — the right operand of the decode
-    /// score product `q_h · K_hᵀ`, matching the full path's
-    /// `k.col_slice(lo, hi).transpose()` values exactly.
-    fn k_head_t(&self, layer: usize, lo: usize, hi: usize) -> Matrix {
-        let l = &self.layers[layer];
-        let (t, d, dh) = (l.rows, self.d_model, hi - lo);
-        let mut data = vec![0.0; dh * t];
-        for (j, krow) in l.k.chunks_exact(d).enumerate() {
-            for c in 0..dh {
-                data[c * t + j] = krow[lo + c];
-            }
-        }
-        Matrix::from_vec(dh, t, data)
-            .unwrap_or_else(|_| unreachable!("length is dh*t by construction"))
+/// Attention scores of one head over the cached context, in place:
+/// `scores[j] = dot(q_head, K[j][lo..hi]) · scale` for every cached row
+/// `j`. Bit-identical to the full path's
+/// `q_head.matmul(&k_head.transpose()).scale(scale)`: the blocked GEMM
+/// computes each output element as [`phox_tensor::gemm::simd::dot`] of
+/// the `A` row with a packed `Bᵀ` row, and the `Bᵀ` packed from
+/// `k_headᵀ` is exactly the cached K row slices read here.
+fn head_scores(scores: &mut [f64], q_head: &[f64], k: &[f64], d: usize, lo: usize, scale: f64) {
+    let hi = lo + q_head.len();
+    for (s, krow) in scores.iter_mut().zip(k.chunks_exact(d)) {
+        *s = phox_tensor::gemm::simd::dot(q_head, &krow[lo..hi]) * scale;
     }
 }
 
@@ -364,40 +361,39 @@ impl TransformerModel {
         let d = cfg.d_model;
         let dh = cfg.d_head();
         let heads = cfg.heads;
+        let scale = 1.0 / (dh as f64).sqrt();
         let (d_u64, ff_u64) = (d as u64, cfg.d_ff as u64);
         let mut macs = 0u64;
         let mut h = x.clone();
+        // One scores buffer for every head of every layer of this step.
+        let mut scores = Vec::with_capacity(cache.rows() + 1);
         for (layer, lw) in self.layers().iter().enumerate() {
             let q = eng.mm(&h, &lw.w_q)?;
             let k = eng.mm(&h, &lw.w_k)?;
             let v = eng.mm(&h, &lw.w_v)?;
             cache.append(layer, k.row(0), v.row(0))?;
-            let t = cache.layer_rows(layer);
+            let kv = &cache.layers[layer];
+            let t = kv.rows;
+            scores.resize(t, 0.0);
 
             let mut concat = Matrix::zeros(1, d);
             for head in 0..heads {
                 let lo = head * dh;
                 let hi = lo + dh;
-                let qh = q.col_slice(lo, hi)?;
-                // Scores over the cached context: same blocked product
-                // as the full path's `qh.matmul(&kh.transpose())` — the
-                // per-element dot depends only on the fixed inner
-                // dimension `dh`, so one row here equals row t-1 there.
-                let scores = qh
-                    .matmul(&cache.k_head_t(layer, lo, hi))?
-                    .scale(1.0 / (dh as f64).sqrt());
-                let w = phox_tensor::ops::softmax_rows(&scores);
+                // Scores over the cached context: the per-element dot
+                // depends only on the fixed inner dimension `dh`, so
+                // this row equals row t-1 of the full path's scores.
+                head_scores(&mut scores, &q.row(0)[lo..hi], &kv.k, d, lo, scale);
+                phox_tensor::ops::softmax_in_place(&mut scores);
                 // Context product in the same sequential order as the
                 // full path's `ops::matmul_seq`: one accumulator per
                 // output element, ascending context index. The SIMD axpy
                 // vectorizes across the `dh` output columns only, so the
                 // per-element order (and the prefix-invariance oracle)
                 // is bitwise unchanged.
-                let wrow = w.row(0);
-                let vbuf = &cache.layers[layer].v;
                 let ctx = &mut concat.as_mut_slice()[lo..hi];
-                for (j, &wj) in wrow.iter().enumerate() {
-                    phox_tensor::gemm::simd::axpy(ctx, wj, &vbuf[j * d + lo..j * d + hi]);
+                for (&wj, vrow) in scores.iter().zip(kv.v.chunks_exact(d)) {
+                    phox_tensor::gemm::simd::axpy(ctx, wj, &vrow[lo..hi]);
                 }
             }
             let mha = eng.mm_weight_only(&concat, &lw.w_o)?;
@@ -616,6 +612,41 @@ mod tests {
         assert!(m.generate(&Matrix::zeros(4, 16), 2).is_err());
         let enc = TransformerModel::random(TransformerConfig::tiny(8), 7).unwrap();
         assert!(enc.generate(&prompt, 2).is_err());
+    }
+
+    #[test]
+    fn in_place_scores_equal_the_matmul_product_bitwise() {
+        // The score product the full path computes, q_h · K_hᵀ through
+        // the blocked GEMM, against the in-place dots, for several
+        // context lengths and every head slice; dh = 8 runs only the
+        // dot's sequential tail, dh = 48 its 16-lane body as well.
+        for (d, heads, t) in [(32, 4), (96, 2)]
+            .into_iter()
+            .flat_map(|(d, heads)| [1, 2, 7, 16, 33, 100].map(|t| (d, heads, t)))
+        {
+            let dh = d / heads;
+            let scale = 1.0 / (dh as f64).sqrt();
+            let k = Prng::new(10 + t as u64).fill_normal(t, d, 0.0, 1.0);
+            let q = Prng::new(20 + t as u64).fill_normal(1, d, 0.0, 1.0);
+            let mut scores = vec![0.0; t];
+            for head in 0..heads {
+                let (lo, hi) = (head * dh, head * dh + dh);
+                let k_head = k.col_slice(lo, hi).unwrap();
+                let expected = q
+                    .col_slice(lo, hi)
+                    .unwrap()
+                    .matmul(&k_head.transpose())
+                    .unwrap()
+                    .scale(scale);
+                head_scores(&mut scores, &q.row(0)[lo..hi], k.as_slice(), d, lo, scale);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&scores),
+                    bits(expected.row(0)),
+                    "d={d} t={t} head={head}"
+                );
+            }
+        }
     }
 
     #[test]

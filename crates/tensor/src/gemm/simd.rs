@@ -212,7 +212,7 @@ mod x86 {
         use std::sync::OnceLock;
         static USABLE: OnceLock<bool> = OnceLock::new();
         *USABLE.get_or_init(|| {
-            !super::force_scalar_env()
+            !super::force_scalar()
                 && std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         })
@@ -221,15 +221,21 @@ mod x86 {
 
 /// Whether `PHOX_FORCE_SCALAR` requests the scalar path. `1`, `true`,
 /// `yes`, and `on` (any case) force scalar; anything else (including
-/// unset) leaves dispatch to feature detection.
-fn force_scalar_env() -> bool {
-    match std::env::var("PHOX_FORCE_SCALAR") {
+/// unset) leaves dispatch to feature detection. Read once per process
+/// and shared by the f64 kernels here and the int8 kernels in
+/// [`crate::gemm_i8`], so both families resolve the override
+/// identically.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) fn force_scalar() -> bool {
+    use std::sync::OnceLock;
+    static FORCE: OnceLock<bool> = OnceLock::new();
+    *FORCE.get_or_init(|| match std::env::var("PHOX_FORCE_SCALAR") {
         Ok(v) => matches!(
             v.trim().to_ascii_lowercase().as_str(),
             "1" | "true" | "yes" | "on"
         ),
         Err(_) => false,
-    }
+    })
 }
 
 /// Whether the f64 `core::arch` kernels are in use on this host.

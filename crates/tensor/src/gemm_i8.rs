@@ -24,11 +24,14 @@
 //! dequantized value becomes meaningless). Workloads in this repo keep
 //! `k` well under the bound.
 //!
-//! The AVX2 path widens `i8 → i16` with `cvtepi8_epi16` and uses
+//! The AVX2 paths widen `i8 → i16` with `cvtepi8_epi16` and use
 //! `madd_epi16` (16 products fused into 8 pairwise `i32` sums per
-//! instruction); it is selected once per process via cached runtime
-//! feature detection and falls back to the autovectorizable scalar loop
-//! everywhere else.
+//! instruction): the dot kernel pairs adjacent `k` indices of one row,
+//! the GEMV kernel pairs two `B` rows against an activation pair. They
+//! are selected once per process via cached runtime feature detection
+//! (honouring the shared `PHOX_FORCE_SCALAR` override of
+//! [`crate::gemm::simd`]) and fall back to the autovectorizable scalar
+//! loops everywhere else.
 
 use crate::matrix::TensorError;
 use crate::parallel;
@@ -71,12 +74,28 @@ fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     s
 }
 
+/// Scalar GEMV kernel: accumulates `out[j] += a[p] · b[p][j]` into the
+/// `n`-wide `out` in ascending `p`, skipping zero activations.
+fn gemv_i32_scalar(a: &[i8], b: &[i8], n: usize, out: &mut [i32]) {
+    for (p, &av) in a.iter().enumerate() {
+        if av == 0 {
+            continue;
+        }
+        let av = av as i32;
+        let brow = &b[p * n..(p + 1) * n];
+        for (acc, &bv) in out.iter_mut().zip(brow) {
+            *acc = acc.wrapping_add(av.wrapping_mul(bv as i32));
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-        _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
-        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
+        _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm_add_epi32, _mm_cvtsi128_si32,
+        _mm_loadu_si128, _mm_shuffle_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
     };
 
     /// AVX2 dot product: 16 `i8` lanes widened to `i16`, `madd_epi16`
@@ -125,16 +144,117 @@ mod x86 {
         s
     }
 
-    /// Cached once-per-process AVX2 detection.
+    /// `(x, y)` broadcast as `i16` lanes: `x` low and `y` high in every
+    /// `i32`, the right operand of a pair `madd_epi16`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn broadcast_pair(x: i8, y: i8) -> __m256i {
+        _mm256_set1_epi32(i32::from(x as i16 as u16) | (i32::from(y) << 16))
+    }
+
+    /// One row pair's products for the 16 columns from `j`: the
+    /// `unpack{lo,hi}_epi8` byte interleave puts `(r0[c], r1[c])` in
+    /// adjacent `i16` lanes, so one `madd_epi16` against
+    /// [`broadcast_pair`]`(a[p], a[p+1])` yields
+    /// `a[p]·r0[c] + a[p+1]·r1[c]` per `i32` lane (columns `j..j+8`
+    /// low, `j+8..j+16` high).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and that `r0` and `r1` are
+    /// valid for 16 bytes from `j`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pair_madd_16(
+        r0: *const i8,
+        r1: *const i8,
+        j: usize,
+        pair: __m256i,
+    ) -> (__m256i, __m256i) {
+        let x0 = _mm_loadu_si128(r0.add(j) as *const __m128i);
+        let x1 = _mm_loadu_si128(r1.add(j) as *const __m128i);
+        (
+            _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x0, x1)), pair),
+            _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x0, x1)), pair),
+        )
+    }
+
+    /// AVX2 GEMV in axpy order: the `n`-wide `i32` output row stays in
+    /// L1 while row-major `B` streams past once. Rows go in pairs
+    /// `(p, p+1)`; a pair whose activations are both zero is skipped,
+    /// and the live pairs are taken two per pass over the output row,
+    /// which halves its load/store traffic (a lone last pair rides with
+    /// a zero partner). Each pair product is at most `2 · 128²`, so
+    /// `madd_epi16` never saturates, and wrapping `i32` addition is
+    /// associative: the result equals the scalar loop bit-for-bit. An
+    /// odd last row and the `n % 16` column tail run in scalar code.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `b.len() == a.len() * n`
+    /// and `out.len() == n`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemv_i32_avx2(a: &[i8], b: &[i8], n: usize, out: &mut [i32]) {
+        let k = a.len();
+        debug_assert!(b.len() == k * n && out.len() == n);
+        let n16 = n - n % 16;
+        let bp = b.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut live = (0..k / 2)
+            .map(|i| 2 * i)
+            .filter(|&p| a[p] != 0 || a[p + 1] != 0);
+        while let Some(p) = live.next() {
+            let (q, w) = match live.next() {
+                Some(q) => (q, [a[p], a[p + 1], a[q], a[q + 1]]),
+                None => (p, [a[p], a[p + 1], 0, 0]),
+            };
+            let (pp, pq) = (broadcast_pair(w[0], w[1]), broadcast_pair(w[2], w[3]));
+            let rows = [p, p + 1, q, q + 1].map(|r| bp.add(r * n));
+            let mut j = 0usize;
+            while j < n16 {
+                let (lo0, hi0) = pair_madd_16(rows[0], rows[1], j, pp);
+                let (lo1, hi1) = pair_madd_16(rows[2], rows[3], j, pq);
+                let o_lo = op.add(j) as *mut __m256i;
+                let o_hi = op.add(j + 8) as *mut __m256i;
+                let sum_lo = _mm256_add_epi32(lo0, lo1);
+                let sum_hi = _mm256_add_epi32(hi0, hi1);
+                _mm256_storeu_si256(o_lo, _mm256_add_epi32(_mm256_loadu_si256(o_lo), sum_lo));
+                _mm256_storeu_si256(o_hi, _mm256_add_epi32(_mm256_loadu_si256(o_hi), sum_hi));
+                j += 16;
+            }
+            for j in n16..n {
+                // Four products of at most 128² each: no i32 overflow.
+                let s: i32 = rows
+                    .iter()
+                    .zip(w)
+                    .map(|(r, wv)| i32::from(wv) * i32::from(*r.add(j)))
+                    .sum();
+                *op.add(j) = (*op.add(j)).wrapping_add(s);
+            }
+        }
+        if k % 2 == 1 {
+            super::gemv_i32_scalar(&a[k - 1..], &b[(k - 1) * n..], n, out);
+        }
+    }
+
+    /// Cached once-per-process AVX2 detection, folded together with the
+    /// shared `PHOX_FORCE_SCALAR` override.
     pub fn avx2_available() -> bool {
         use std::sync::OnceLock;
         static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        *AVX2.get_or_init(|| {
+            !crate::gemm::simd::force_scalar() && std::arch::is_x86_feature_detected!("avx2")
+        })
     }
 }
 
-/// Whether the `core::arch` SIMD dot kernel is in use on this host.
-/// Informational only: scalar and SIMD paths are bit-identical.
+/// Whether the `core::arch` SIMD int8 kernels are in use on this host
+/// (`false` under `PHOX_FORCE_SCALAR=1`). Informational only: scalar
+/// and SIMD paths are bit-identical.
 pub fn simd_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -186,9 +306,11 @@ pub fn transpose_i8(src: &[i8], rows: usize, cols: usize) -> Result<Vec<i8>, Ten
 /// Int8 GEMV: `1 × k` row vector times row-major `k × n` matrix, raw
 /// wrapping-`i32` sums. This is the decode-step shape (one new token per
 /// step), where packing `Bᵀ` first would cost as much as the product
-/// itself: instead the axpy loop streams each `B` row once, skipping
-/// zero activations like [`matmul_i32_naive`]. Wrapping `i32` addition
-/// is associative, so the result is bit-identical to every GEMM path.
+/// itself: instead the axpy loop streams each `B` row once into an
+/// L1-resident output row, skipping zero activations like
+/// [`matmul_i32_naive`] (the AVX2 kernel takes two rows per pass).
+/// Wrapping `i32` addition is associative, so the result is
+/// bit-identical to every GEMM path.
 ///
 /// # Errors
 ///
@@ -198,33 +320,15 @@ pub fn gemv_i32(a: &[i8], b: &[i8], k: usize, n: usize) -> Result<Vec<i32>, Tens
     check_len(a.len(), k)?;
     check_len(b.len(), k * n)?;
     let mut out = vec![0i32; n];
-    for (p, &av) in a.iter().enumerate() {
-        if av == 0 {
-            continue;
-        }
-        let av = av as i32;
-        let brow = &b[p * n..(p + 1) * n];
-        for (acc, &bv) in out.iter_mut().zip(brow) {
-            *acc = acc.wrapping_add(av.wrapping_mul(bv as i32));
-        }
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2_available() {
+        // SAFETY: AVX2 availability was just checked; both lengths were
+        // validated above.
+        unsafe { x86::gemv_i32_avx2(a, b, n, &mut out) };
+        return Ok(out);
     }
+    gemv_i32_scalar(a, b, n, &mut out);
     Ok(out)
-}
-
-/// Int8 GEMV over a *pre-transposed* `B` (`bt` is row-major `n × k`,
-/// i.e. the packed `Bᵀ` panel layout the GEMM kernels use): one SIMD
-/// [`dot_i8`] per output element. The fast path when the caller keeps
-/// `Bᵀ` resident across decode steps — each dot reads two contiguous
-/// `k`-byte panels. Bit-identical to [`gemv_i32`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when a slice length disagrees
-/// with its stated shape.
-pub fn gemv_i32_bt(a: &[i8], bt: &[i8], k: usize, n: usize) -> Result<Vec<i32>, TensorError> {
-    check_len(a.len(), k)?;
-    check_len(bt.len(), n * k)?;
-    Ok((0..n).map(|j| dot_i8(a, &bt[j * k..(j + 1) * k])).collect())
 }
 
 /// Computes output rows `[row0, row0 + band_rows)` into `band`
@@ -466,17 +570,33 @@ mod tests {
 
     #[test]
     fn gemv_matches_naive_gemm_row() {
-        // Exercise tail lengths around the SIMD lane boundaries, as the
-        // dot dispatch test does.
-        for k in (1..40).chain([64, 65, 127, 128, 129, 300]) {
-            let n = 17;
-            let a = random_i8(k, 21);
-            let b = random_i8(k * n, 22);
-            let naive = matmul_i32_naive(&a, &b, 1, k, n).unwrap();
-            let gemv = gemv_i32(&a, &b, k, n).unwrap();
-            assert_eq!(gemv, naive, "k={k}");
-            let bt = transpose_i8(&b, k, n).unwrap();
-            assert_eq!(gemv_i32_bt(&a, &bt, k, n).unwrap(), naive, "bt k={k}");
+        // Odd and even k (the odd last row runs scalar; an odd count of
+        // live pairs leaves a lone last pair), n around the 16- and
+        // 32-column boundaries (the column tail runs scalar), and three
+        // activation patterns: random, zeroed pairs (skipped) with one
+        // lone zero, and the -128/127 extremes against extreme weights.
+        for k in (1..12).chain([31, 32, 33, 64, 65, 127, 128, 129, 300]) {
+            for n in [1, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 97] {
+                let b = random_i8(k * n, 22 + n as u64);
+                let mut sparse = random_i8(k, 21);
+                for p in (0..k).filter(|p| p % 4 < 2) {
+                    sparse[p] = 0;
+                }
+                sparse[k - 1] = 0;
+                let extremes: Vec<i8> = (0..k)
+                    .map(|p| if p % 3 == 0 { i8::MIN } else { i8::MAX })
+                    .collect();
+                let b_extreme: Vec<i8> = (0..k * n)
+                    .map(|i| if i % 5 < 2 { i8::MIN } else { i8::MAX })
+                    .collect();
+                for (a, b) in [(random_i8(k, 21), &b), (sparse, &b), (extremes, &b_extreme)] {
+                    let naive = matmul_i32_naive(&a, b, 1, k, n).unwrap();
+                    assert_eq!(gemv_i32(&a, b, k, n).unwrap(), naive, "k={k} n={n}");
+                    let mut scalar = vec![0i32; n];
+                    gemv_i32_scalar(&a, b, n, &mut scalar);
+                    assert_eq!(scalar, naive, "scalar k={k} n={n}");
+                }
+            }
         }
     }
 
@@ -507,7 +627,6 @@ mod tests {
     fn gemv_length_mismatch_is_reported() {
         assert!(gemv_i32(&[1, 2], &[1, 2, 3], 2, 2).is_err());
         assert!(gemv_i32(&[1], &[1, 2], 2, 1).is_err());
-        assert!(gemv_i32_bt(&[1, 2], &[1, 2, 3], 2, 2).is_err());
     }
 
     #[test]

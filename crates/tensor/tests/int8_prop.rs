@@ -1,8 +1,8 @@
 //! Property-based tests for the int8 compute path: the blocked/SIMD GEMM
-//! kernel must be *bitwise* equal to the naive i32 oracle over arbitrary
-//! shapes (including degenerate and saturated operands), byte-identical
-//! across thread counts, and the int8 SpMM must agree exactly with the
-//! int8 dense GEMM on the densified adjacency.
+//! and GEMV kernels must be *bitwise* equal to the naive i32 oracle over
+//! arbitrary shapes (including degenerate and saturated operands), the
+//! GEMM byte-identical across thread counts, and the int8 SpMM must
+//! agree exactly with the int8 dense GEMM on the densified adjacency.
 
 use proptest::prelude::*;
 
@@ -51,6 +51,30 @@ proptest! {
         let production = gemm_i8::matmul_i32(&a, &b, m, k, n).unwrap();
         prop_assert_eq!(&blocked, &naive);
         prop_assert_eq!(&production, &naive);
+    }
+
+    #[test]
+    fn gemv_bitwise_equals_naive_oracle(
+        ((k, n), a, zero_mask, b) in (1usize..=300, 1usize..=300)
+            .prop_flat_map(|(k, n)| {
+                (
+                    Just((k, n)),
+                    proptest::collection::vec(i8::MIN..=i8::MAX, k),
+                    proptest::collection::vec(0u8..3, k),
+                    proptest::collection::vec(i8::MIN..=i8::MAX, k * n),
+                )
+            }),
+    ) {
+        // About a third of the activations are zeroed, so the SIMD
+        // kernel's skipped all-zero pairs and the scalar kernel's skipped
+        // zeros both occur; the full i8 range includes -128.
+        let a: Vec<i8> = a
+            .iter()
+            .zip(&zero_mask)
+            .map(|(&v, &z)| if z == 0 { 0 } else { v })
+            .collect();
+        let naive = gemm_i8::matmul_i32_naive(&a, &b, 1, k, n).unwrap();
+        prop_assert_eq!(&gemm_i8::gemv_i32(&a, &b, k, n).unwrap(), &naive);
     }
 
     #[test]
