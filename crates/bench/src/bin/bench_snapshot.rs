@@ -403,10 +403,14 @@ fn measure_graph(
     let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, features, 8, 2), 12)
         .expect("valid benchmark model");
     let dense_stack_s = time_median(dense_reps, || {
-        model.aggregate_dense_stack(graph, &x, Aggregation::Mean, true)
+        model
+            .aggregate_dense_stack(graph, &x, Aggregation::Mean, true)
+            .expect("aggregate operands agree")
     });
     let sparse_s = time_median(sparse_reps, || {
-        model.aggregate(graph, &x, Aggregation::Mean, true)
+        model
+            .aggregate(graph, &x, Aggregation::Mean, true)
+            .expect("aggregate operands agree")
     });
     let mut spmm_out = Matrix::zeros(graph.num_nodes(), features);
     let mut scalar_out = Matrix::zeros(graph.num_nodes(), features);
@@ -710,6 +714,7 @@ fn run_digest(out_path: &str) {
     use phox_core::ghost::{GhostConfig, GhostFunctional};
     use phox_core::nn::datasets::sbm;
     use phox_core::photonics::analog::AnalogEngine;
+    use phox_core::photonics::fault::{DeviceFault, FaultSchedule};
     use phox_core::tensor::ops;
     use phox_core::tron::{TronConfig, TronFunctional};
 
@@ -812,7 +817,11 @@ fn run_digest(out_path: &str) {
         .expect("valid digest model");
     record(
         "gcn_aggregate",
-        digest_matrix(&model.aggregate(&graph, &x, Aggregation::Mean, true)),
+        digest_matrix(
+            &model
+                .aggregate(&graph, &x, Aggregation::Mean, true)
+                .expect("aggregate operands agree"),
+        ),
     );
 
     // The analog int8 engine, ideal and noisy, ragged tiles.
@@ -853,6 +862,128 @@ fn run_digest(out_path: &str) {
                     .forward(&gnn, &task.graph, &task.features)
                     .expect("forward succeeds"),
             ),
+        );
+    }
+
+    // TRON on the other model families: a decoder-only GELU stack and an
+    // encoder-decoder seq2seq pass.
+    let gelu_cfg = TransformerConfig {
+        kind: TransformerKind::DecoderOnly,
+        ff_activation: FfActivation::Gelu,
+        ..TransformerConfig::tiny(8)
+    };
+    let gelu_model = TransformerModel::random(gelu_cfg, 48).expect("valid digest model");
+    let mut tron = TronFunctional::new(&TronConfig::default(), 49).expect("valid simulator");
+    record(
+        "tron_forward_decoder_gelu",
+        digest_matrix(&tron.forward(&gelu_model, &tf_x).expect("forward succeeds")),
+    );
+    let encdec_cfg = TransformerConfig {
+        kind: TransformerKind::EncoderDecoder,
+        ..TransformerConfig::tiny(8)
+    };
+    let encdec = TransformerModel::random(encdec_cfg, 50).expect("valid digest model");
+    let tgt = Prng::new(51).fill_normal(8, 32, 0.0, 1.0);
+    let mut tron = TronFunctional::new(&TronConfig::default(), 52).expect("valid simulator");
+    record(
+        "tron_forward_seq2seq",
+        digest_matrix(
+            &tron
+                .forward_seq2seq(&encdec, &tf_x, &tgt)
+                .expect("forward succeeds"),
+        ),
+    );
+
+    // A TRON fault schedule stepped before onset, inside the window and
+    // after clearance: the fault runtime's re-resolution on both edges.
+    let tron_cfg = TronConfig::default();
+    let schedule = FaultSchedule::new(tron_cfg.array_rows, tron_cfg.array_channels)
+        .schedule(1.0, 2.0, DeviceFault::DeadAdcLane { lane: 1 })
+        .and_then(|s| s.schedule(1.0, 2.0, DeviceFault::LaserPowerDroop { droop_db: 1.0 }))
+        .expect("valid schedule");
+    let mut tron =
+        TronFunctional::with_fault_schedule(&tron_cfg, schedule, 53).expect("valid simulator");
+    let mut scheduled = Vec::new();
+    for t in [0.5, 1.5, 2.5] {
+        tron.advance_to(t).expect("compensatable schedule");
+        let y = tron.forward(&tf_model, &tf_x).expect("forward succeeds");
+        scheduled.extend(y.as_slice().iter().map(|v| v.to_bits()));
+    }
+    record("tron_fault_schedule", fnv1a(scheduled));
+
+    // GHOST on GraphSAGE-max and GIN.
+    let sage_cfg = GnnConfig {
+        aggregation: Aggregation::Max,
+        ..GnnConfig::two_layer(GnnKind::GraphSage, 12, 16, 3)
+    };
+    for (name, cfg) in [
+        ("ghost_forward_sage_max", sage_cfg),
+        (
+            "ghost_forward_gin",
+            GnnConfig::two_layer(GnnKind::Gin, 12, 16, 3),
+        ),
+    ] {
+        let gnn = GnnModel::random(cfg, 54).expect("valid digest model");
+        let mut ghost = GhostFunctional::new(&GhostConfig::default(), 55).expect("valid simulator");
+        record(
+            name,
+            digest_matrix(
+                &ghost
+                    .forward(&gnn, &task.graph, &task.features)
+                    .expect("forward succeeds"),
+            ),
+        );
+    }
+    let ghost_cfg = GhostConfig::default();
+    let schedule = FaultSchedule::new(ghost_cfg.array_rows, ghost_cfg.array_channels)
+        .schedule(1.0, 2.0, DeviceFault::DeadAdcLane { lane: 2 })
+        .expect("valid schedule");
+    let mut ghost =
+        GhostFunctional::with_fault_schedule(&ghost_cfg, schedule, 58).expect("valid simulator");
+    let gcn = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 12, 16, 3), 59)
+        .expect("valid digest model");
+    let mut scheduled = Vec::new();
+    for t in [0.5, 1.5, 2.5] {
+        ghost.advance_to(t).expect("compensatable schedule");
+        let y = ghost
+            .forward(&gcn, &task.graph, &task.features)
+            .expect("forward succeeds");
+        scheduled.extend(y.as_slice().iter().map(|v| v.to_bits()));
+    }
+    record("ghost_fault_schedule", fnv1a(scheduled));
+
+    // The phox-nn digital forwards the functional simulators are
+    // validated against.
+    let gelu_x = Prng::new(56).fill_normal(8, 32, 0.0, 1.0);
+    for (name, y) in [
+        ("nn_transformer_forward", tf_model.forward(&tf_x)),
+        (
+            "nn_transformer_forward_quantized",
+            tf_model.forward_quantized(&tf_x),
+        ),
+        ("nn_transformer_forward_int8", tf_model.forward_int8(&tf_x)),
+        ("nn_decoder_forward_int8", gelu_model.forward_int8(&gelu_x)),
+        (
+            "nn_transformer_generate",
+            gelu_model.generate(&gelu_x, 4).map(|g| g.tokens),
+        ),
+    ] {
+        record(name, digest_matrix(&y.expect("forward succeeds")));
+    }
+    for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
+        let gnn = GnnModel::random(GnnConfig::two_layer(kind, 12, 16, 3), 57)
+            .expect("valid digest model");
+        let mut bits = Vec::new();
+        for y in [
+            gnn.forward(&task.graph, &task.features),
+            gnn.forward_int8(&task.graph, &task.features),
+        ] {
+            let y = y.expect("forward succeeds");
+            bits.extend(y.as_slice().iter().map(|v| v.to_bits()));
+        }
+        record(
+            &format!("nn_gnn_forward_{}", kind.to_string().to_lowercase()),
+            fnv1a(bits),
         );
     }
 

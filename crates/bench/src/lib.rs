@@ -2,8 +2,8 @@
 //!
 //! The figure-regeneration harness: one function per table/figure of the
 //! paper's evaluation section (see the per-experiment index in
-//! DESIGN.md). The `figures` binary prints them; the Criterion benches
-//! under `benches/` time the underlying simulations.
+//! DESIGN.md). The `figures` binary prints them; `bench_snapshot`
+//! records kernel speedups and the dispatch digest.
 //!
 //! | experiment | function |
 //! |---|---|

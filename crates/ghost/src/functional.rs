@@ -7,66 +7,64 @@
 //! and SOA update activations. Validated against the digital int8
 //! reference of `phox-nn`.
 
-use phox_nn::gnn::{Aggregation, CsrGraph, GnnKind, GnnModel};
+use phox_nn::engine::{GnnEngine, MatmulEngine};
+use phox_nn::gnn::{Aggregation, CsrGraph, GnnModel};
 use phox_photonics::analog::AnalogEngine;
 use phox_photonics::devices::OpticalActivation;
-use phox_photonics::fault::{FaultPlan, FaultSchedule};
-use phox_photonics::mr::MrConfig;
-use phox_photonics::noise::{perturb, NoiseBudget};
+use phox_photonics::fault::{Datapath, FaultAwareEngine, FaultPlan, FaultSchedule};
+use phox_photonics::noise::perturb;
 use phox_photonics::summation::OpticalComparator;
-use phox_photonics::tuning::HybridTuning;
 use phox_photonics::{Ctx, PhotonicError};
 use phox_tensor::sparse::DegreeBuckets;
 use phox_tensor::{ops, parallel, Matrix, Prng, Quantizer};
 
 use crate::config::GhostConfig;
 
-/// Mid-run fault-schedule state: the model-time fault timeline plus the
-/// device models needed to re-resolve the active plan as time advances.
-#[derive(Debug, Clone, PartialEq)]
-struct FaultRuntime {
-    schedule: FaultSchedule,
-    mr: MrConfig,
-    tuning: HybridTuning,
-    noise: NoiseBudget,
-    bits: u32,
-    current: FaultPlan,
-}
-
-/// Functional GHOST simulator.
+/// Functional GHOST simulator: the photonic backend of `phox-nn`'s one
+/// GNN forward ([`GnnModel::forward_with`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GhostFunctional {
-    engine: AnalogEngine,
+    engine: FaultAwareEngine,
     comparator: OpticalComparator,
-    fault_runtime: Option<FaultRuntime>,
+}
+
+fn datapath(config: &GhostConfig) -> Datapath {
+    Datapath {
+        mr: config.mr,
+        tuning: config.tuning,
+        noise: config.noise,
+        adc_bits: config.adc.bits,
+        dac_bits: config.dac.bits,
+        array_rows: config.array_rows,
+        array_channels: config.array_channels,
+    }
 }
 
 impl GhostFunctional {
-    /// Builds the functional simulator with receiver noise from the
-    /// configuration's 8-bit optical budget.
+    fn from_engine(engine: FaultAwareEngine) -> Self {
+        GhostFunctional {
+            engine,
+            comparator: OpticalComparator::default(),
+        }
+    }
+
+    /// Builds the functional simulator with receiver noise derived from
+    /// the configuration's provisioned 8-bit optical budget.
     ///
     /// # Errors
     ///
     /// Propagates noise-budget failures.
     pub fn new(config: &GhostConfig, seed: u64) -> Result<Self, PhotonicError> {
-        Ok(GhostFunctional {
-            engine: AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+        FaultAwareEngine::new(&datapath(config), seed).map(Self::from_engine)
     }
 
     /// Builds a noiseless simulator (quantization effects only).
     pub fn ideal(config: &GhostConfig, seed: u64) -> Self {
-        GhostFunctional {
-            engine: AnalogEngine::ideal(config.adc.bits, config.dac.bits, seed),
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        }
+        Self::from_engine(FaultAwareEngine::ideal(&datapath(config), seed))
     }
 
-    /// Builds a simulator with an explicit receiver noise level for
-    /// robustness sweeps.
+    /// Builds a simulator with an explicit receiver noise level, for
+    /// robustness sweeps beyond the provisioned operating point.
     ///
     /// # Errors
     ///
@@ -76,54 +74,29 @@ impl GhostFunctional {
         relative_sigma: f64,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        Ok(GhostFunctional {
-            engine: AnalogEngine::new(relative_sigma, config.adc.bits, config.dac.bits, seed)?,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+        FaultAwareEngine::with_noise(&datapath(config), relative_sigma, seed).map(Self::from_engine)
     }
 
-    /// Builds a simulator with injected device faults.
-    ///
-    /// The plan is validated against the configuration's transform-array
-    /// geometry and resolved against its device models; the resulting
-    /// degradation (stuck weights, drift gain error, dead ADC lanes,
-    /// droop-inflated noise) applies to every analog operation, including
-    /// the per-node child engines of the aggregation units.
+    /// Builds a simulator with injected device faults
+    /// ([`FaultAwareEngine::with_faults`]); the degradation applies to
+    /// every analog operation, including the per-node streams of the aggregation units.
     ///
     /// # Errors
     ///
     /// Returns a context-chained error when the plan is out of geometry
-    /// or the fault is uncompensatable.
+    /// or a fault is uncompensatable.
     pub fn with_faults(
         config: &GhostConfig,
         plan: FaultPlan,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if plan.array_rows != config.array_rows || plan.array_channels != config.array_channels {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault plan geometry must match the accelerator's bank arrays",
-            }
-            .ctx("injecting device faults into GHOST"));
-        }
-        let plan = plan.validated().ctx("injecting device faults into GHOST")?;
-        let impact = plan
-            .impact(&config.mr, &config.tuning, &config.noise, config.adc.bits)
-            .ctx("injecting device faults into GHOST")?;
-        let mut engine = AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?;
-        engine
-            .inject_faults(&impact, config.array_rows, config.array_channels)
-            .ctx("injecting device faults into GHOST")?;
-        Ok(GhostFunctional {
-            engine,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+        FaultAwareEngine::with_faults(&datapath(config), plan, seed)
+            .ctx("injecting device faults into GHOST")
+            .map(Self::from_engine)
     }
 
     /// Builds a simulator driven by a model-time [`FaultSchedule`]: call
-    /// [`GhostFunctional::advance_to`] before each forward pass and the
-    /// simulator re-resolves the faults active at that instant. An empty
+    /// [`GhostFunctional::advance_to`] before each forward pass. An empty
     /// schedule is a strict no-op — the simulator behaves byte-identically
     /// to [`GhostFunctional::new`].
     ///
@@ -137,70 +110,32 @@ impl GhostFunctional {
         schedule: FaultSchedule,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if schedule.array_rows != config.array_rows
-            || schedule.array_channels != config.array_channels
-        {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault schedule geometry must match the accelerator's bank arrays",
-            }
-            .ctx("attaching fault schedule to GHOST"));
-        }
-        let mut sim = GhostFunctional::new(config, seed)?;
-        sim.fault_runtime = Some(FaultRuntime {
-            schedule,
-            mr: config.mr,
-            tuning: config.tuning,
-            noise: config.noise,
-            bits: config.adc.bits,
-            current: FaultPlan::new(config.array_rows, config.array_channels),
-        });
-        sim.advance_to(0.0)?;
-        Ok(sim)
+        FaultAwareEngine::with_fault_schedule(&datapath(config), schedule, seed)
+            .ctx("attaching fault schedule to GHOST")
+            .map(Self::from_engine)
     }
 
-    /// Advances the fault schedule to model time `t_s`, re-resolving the
-    /// active [`FaultPlan`] into the analog engine. Cheap when the plan
-    /// has not changed since the last call; a no-op without a schedule.
+    /// Advances the fault schedule to model time `t_s`
+    /// ([`FaultAwareEngine::advance_to`]).
     ///
     /// # Errors
     ///
     /// Returns a context-chained error when a newly active fault is
-    /// uncompensatable (drift beyond the tuning range, droop below the
-    /// noise floor, all receiver lanes dead) — the accelerator is down,
-    /// not silently wrong.
+    /// uncompensatable: the accelerator is down, not silently wrong.
     pub fn advance_to(&mut self, t_s: f64) -> Result<(), PhotonicError> {
-        let Some(rt) = self.fault_runtime.as_mut() else {
-            return Ok(());
-        };
-        let plan = rt
-            .schedule
-            .plan_at(t_s)
-            .ctx("advancing GHOST fault schedule")?;
-        if plan == rt.current {
-            return Ok(());
-        }
-        if plan.is_empty() {
-            self.engine.clear_faults();
-        } else {
-            let impact = plan
-                .impact(&rt.mr, &rt.tuning, &rt.noise, rt.bits)
-                .ctx("advancing GHOST fault schedule")?;
-            self.engine
-                .set_fault_impact(&impact, plan.array_rows, plan.array_channels)
-                .ctx("advancing GHOST fault schedule")?;
-        }
-        rt.current = plan;
-        Ok(())
+        self.engine
+            .advance_to(t_s)
+            .ctx("advancing GHOST fault schedule")
     }
 
     /// The attached fault schedule, if any.
     pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.fault_runtime.as_ref().map(|rt| &rt.schedule)
+        self.engine.fault_schedule()
     }
 
     /// The underlying analog engine.
     pub fn engine(&self) -> &AnalogEngine {
-        &self.engine
+        self.engine.engine()
     }
 
     /// Runs the photonic inference of `model` over `graph` with node
@@ -208,48 +143,14 @@ impl GhostFunctional {
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] on shape mismatch.
+    /// Returns an error on shape mismatch.
     pub fn forward(
         &mut self,
         model: &GnnModel,
         graph: &CsrGraph,
         features: &Matrix,
     ) -> Result<Matrix, PhotonicError> {
-        let cfg = model.config().clone();
-        if features.rows() != graph.num_nodes() || features.cols() != cfg.dims[0] {
-            return Err(PhotonicError::InvalidConfig {
-                what: "feature shape must match graph and model",
-            });
-        }
-        let mut h = features.clone();
-        let last = cfg.layers() - 1;
-        for (l, lw) in model.layers().iter().enumerate() {
-            h = match cfg.kind {
-                GnnKind::Gcn => {
-                    let agg = self.optical_aggregate(graph, &h, Aggregation::Mean, true)?;
-                    self.engine.matmul(&agg, &lw.w)?
-                }
-                GnnKind::GraphSage => {
-                    let agg = self.optical_aggregate(graph, &h, cfg.aggregation, false)?;
-                    let cat = h.hconcat(&agg).ctx("concatenating GraphSAGE features")?;
-                    self.engine.matmul(&cat, &lw.w)?
-                }
-                GnnKind::Gin => {
-                    let agg = self.optical_aggregate(graph, &h, Aggregation::Sum, false)?;
-                    let mixed = h
-                        .scale(1.0 + model.epsilon())
-                        .add(&agg)
-                        .ctx("mixing GIN self and aggregate features")?;
-                    self.engine.matmul(&mixed, &lw.w)?
-                }
-                GnnKind::Gat => self.gat_layer(graph, &h, lw)?,
-            };
-            if l != last {
-                // SOA ReLU in the update units.
-                h = self.engine.soa_activate(OpticalActivation::Relu, &h);
-            }
-        }
-        Ok(h)
+        model.forward_with(graph, features, self)
     }
 
     /// Optical aggregation through the reduce units: sum/mean use
@@ -265,16 +166,10 @@ impl GhostFunctional {
     /// directly (the comparator is value-preserving, not a quantizing
     /// stage).
     ///
-    /// Sparse compute path: nodes are scheduled in degree-bucketed
-    /// [`phox_tensor::sparse::ROW_TILE`]-row tiles (hubs first, so the
-    /// work-stealing loop never straggles on a power-law tail), and each
-    /// tile accumulates member rows CSR-order into one reusable scratch
-    /// buffer — no per-node stack matrix is allocated. Each node draws
-    /// its receiver noise from a deterministic stream keyed by
-    /// `(operation key, node index)`, the same scheme as
-    /// [`AnalogEngine::matmul`]'s per-tile streams, so the aggregate is
-    /// bit-identical for any thread count (and to the retired
-    /// dense-stack path).
+    /// Nodes run on the sparse tile schedule (`on_tiles`). Each draws its
+    /// receiver noise from a stream keyed by `(operation key, node
+    /// index)`, the scheme of [`AnalogEngine::matmul`]'s per-tile
+    /// streams, so the aggregate is bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -287,15 +182,10 @@ impl GhostFunctional {
         agg: Aggregation,
         include_self: bool,
     ) -> Result<Matrix, PhotonicError> {
-        if h.rows() != graph.num_nodes() {
-            return Err(PhotonicError::InvalidConfig {
-                what: "aggregation features must have one row per graph vertex",
-            });
-        }
+        check_rows(graph, h)?;
         let f = h.cols();
-        let n = graph.num_nodes();
-        let key = self.engine.stream_key();
-        let sigma = self.engine.relative_sigma();
+        let key = self.engine.engine_mut().stream_key();
+        let sigma = self.engine().relative_sigma();
         let comparator = self.comparator;
         // DAC stage for the coherent-summation path: member rows enter
         // as symmetric int8 levels, one calibration per aggregate call.
@@ -303,83 +193,60 @@ impl GhostFunctional {
         let codes = qh.as_i8_slice();
         let h_scale = qh.scale();
         let sched = DegreeBuckets::new(graph.offsets());
-        let tiles: Vec<Vec<f64>> = parallel::par_map_indexed(sched.num_tiles(), |t| {
-            let rows = sched.tile_rows(t);
-            // One scratch buffer per tile, reused across its rows, plus
-            // one integer accumulator reused across the tile's nodes.
-            let mut buf = vec![0.0; rows.len() * f];
-            let mut acc = vec![0i64; f];
-            for (i, &v) in rows.iter().enumerate() {
-                let v = v as usize;
-                let slot = &mut buf[i * f..(i + 1) * f];
-                let neigh = graph.neighbors(v);
-                if neigh.is_empty() && !include_self {
-                    continue; // isolated node aggregates to zero
-                }
-                match agg {
-                    Aggregation::Sum | Aggregation::Mean => {
-                        // Coherent summation on the int8 codes: member
-                        // levels accumulate exactly in CSR order (the
-                        // digital reference's accumulator), then every
-                        // column's count picks up receiver noise from
-                        // the node's stream before dequantization.
-                        for a in acc.iter_mut() {
-                            *a = 0;
-                        }
-                        if include_self {
-                            for (a, &q) in acc.iter_mut().zip(&codes[v * f..(v + 1) * f]) {
-                                *a = i64::from(q);
-                            }
-                        }
-                        for &u in neigh {
-                            let u = u as usize;
-                            for (a, &q) in acc.iter_mut().zip(&codes[u * f..(u + 1) * f]) {
-                                *a += i64::from(q);
-                            }
-                        }
-                        let denom = if agg == Aggregation::Mean {
-                            (neigh.len() + usize::from(include_self)) as f64
-                        } else {
-                            1.0
-                        };
-                        let mut rng = Prng::stream(key, v as u64);
-                        for (s, &a) in slot.iter_mut().zip(acc.iter()) {
-                            #[allow(clippy::cast_precision_loss)]
-                            let count = a as f64;
-                            *s = perturb(count, sigma, &mut rng) * h_scale / denom;
+        let out = on_tiles(&sched, f, |v, slot, acc, _| {
+            let neigh = graph.neighbors(v);
+            if neigh.is_empty() && !include_self {
+                return; // isolated node aggregates to zero
+            }
+            match agg {
+                Aggregation::Sum | Aggregation::Mean => {
+                    // Coherent summation on the int8 codes: member levels
+                    // accumulate exactly in CSR order (the digital
+                    // reference's accumulator), then every column's count
+                    // picks up receiver noise before dequantization.
+                    acc.fill(0);
+                    if include_self {
+                        for (a, &q) in acc.iter_mut().zip(&codes[v * f..(v + 1) * f]) {
+                            *a = i64::from(q);
                         }
                     }
-                    Aggregation::Max => {
-                        // Comparator tournament, folded member-major with
-                        // the first member seeding every column.
-                        let mut seeded = false;
-                        if include_self {
-                            slot.copy_from_slice(h.row(v));
+                    for &u in neigh {
+                        let u = u as usize;
+                        for (a, &q) in acc.iter_mut().zip(&codes[u * f..(u + 1) * f]) {
+                            *a += i64::from(q);
+                        }
+                    }
+                    let denom = if agg == Aggregation::Mean {
+                        (neigh.len() + usize::from(include_self)) as f64
+                    } else {
+                        1.0
+                    };
+                    read_out(slot, acc, Prng::stream(key, v as u64), sigma, |x| {
+                        x * h_scale / denom
+                    });
+                }
+                Aggregation::Max => {
+                    // Comparator tournament, folded member-major with the
+                    // first member seeding every column.
+                    let mut seeded = false;
+                    if include_self {
+                        slot.copy_from_slice(h.row(v));
+                        seeded = true;
+                    }
+                    for &u in neigh {
+                        let row = h.row(u as usize);
+                        if !seeded {
+                            slot.copy_from_slice(row);
                             seeded = true;
-                        }
-                        for &u in neigh {
-                            let row = h.row(u as usize);
-                            if !seeded {
-                                slot.copy_from_slice(row);
-                                seeded = true;
-                            } else {
-                                for (s, &x) in slot.iter_mut().zip(row) {
-                                    *s = comparator.max2(*s, x);
-                                }
+                        } else {
+                            for (s, &x) in slot.iter_mut().zip(row) {
+                                *s = comparator.max2(*s, x);
                             }
                         }
                     }
                 }
             }
-            buf
         });
-        let mut out = Matrix::zeros(n, f);
-        for (t, buf) in tiles.iter().enumerate() {
-            for (i, &v) in sched.tile_rows(t).iter().enumerate() {
-                out.row_mut(v as usize)
-                    .copy_from_slice(&buf[i * f..(i + 1) * f]);
-            }
-        }
         self.trace_aggregate(
             "optical_aggregate",
             &sched,
@@ -428,104 +295,163 @@ impl GhostFunctional {
             ],
         );
     }
+}
 
-    /// GAT layer: optical transform, digital LUT attention softmax,
-    /// attention-weighted coherent accumulation.
-    fn gat_layer(
+/// Every combine product runs on the transform units' analog MAC array;
+/// the hardware has no weight-only sites.
+impl MatmulEngine for GhostFunctional {
+    type Error = PhotonicError;
+
+    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+        self.engine.engine_mut().matmul(a, w)
+    }
+}
+
+impl GnnEngine for GhostFunctional {
+    /// [`GhostFunctional::optical_aggregate`].
+    fn aggregate(
         &mut self,
         graph: &CsrGraph,
         h: &Matrix,
-        lw: &phox_nn::gnn::GnnLayerWeights,
+        agg: Aggregation,
+        include_self: bool,
     ) -> Result<Matrix, PhotonicError> {
-        let z = self.engine.matmul(h, &lw.w)?;
+        self.optical_aggregate(graph, h, agg, include_self)
+    }
+
+    /// Digital LUT attention softmax, then attention-weighted coherent
+    /// accumulation.
+    ///
+    /// Runs on the sparse tile schedule with per-node noise streams, as
+    /// [`GhostFunctional::optical_aggregate`] does.
+    ///
+    /// Int8 datapath: the transformed features re-enter through the DAC
+    /// as int8 levels, and the LUT softmax already emits attention
+    /// weights on the DAC grid — multiples of `1 / dac_levels()` — so the
+    /// weighted accumulation is an exact integer MAC (`alpha code ×
+    /// feature code`) with receiver noise perturbing the accumulated count
+    /// before dequantization.
+    fn attention_aggregate(
+        &mut self,
+        graph: &CsrGraph,
+        z: &Matrix,
+        src_logit: &[f64],
+        dst_logit: &[f64],
+    ) -> Result<Matrix, PhotonicError> {
+        check_rows(graph, z)?;
         let fout = z.cols();
-        let n = graph.num_nodes();
-        let mut src_logit = vec![0.0; n];
-        let mut dst_logit = vec![0.0; n];
-        for v in 0..n {
-            let mut s = 0.0;
-            let mut d = 0.0;
-            for c in 0..fout {
-                s += z.get(v, c) * lw.a_src[c];
-                d += z.get(v, c) * lw.a_dst[c];
-            }
-            src_logit[v] = s;
-            dst_logit[v] = d;
-        }
-        // Per-node attention and weighted accumulation run on the sparse
-        // tile schedule: attention weights stream straight into the tile's
-        // scratch buffer (no per-node stack matrix), and each node's
-        // receiver noise comes from the `(operation key, node)` stream —
-        // the same determinism scheme as
-        // [`GhostFunctional::optical_aggregate`].
-        //
-        // Int8 datapath: the transformed features re-enter through the
-        // DAC as int8 levels, and the LUT softmax already emits
-        // attention weights on the DAC grid — multiples of
-        // `1 / dac_levels()` — so the weighted accumulation is an exact
-        // integer MAC (`alpha code × feature code`) with receiver noise
-        // perturbing the accumulated count before dequantization.
-        let key = self.engine.stream_key();
-        let sigma = self.engine.relative_sigma();
-        let engine = &self.engine;
-        let qz = Quantizer::calibrate(&z).quantize(&z);
+        let engine = self.engine.engine_mut();
+        let key = engine.stream_key();
+        let engine = &*engine;
+        let sigma = engine.relative_sigma();
+        let qz = Quantizer::calibrate(z).quantize(z);
         let zcodes = qz.as_i8_slice();
         let alpha_levels = engine.dac_levels();
         let acc_scale = qz.scale() / alpha_levels;
         let sched = DegreeBuckets::new(graph.offsets());
-        let tiles: Vec<Vec<f64>> =
-            parallel::par_map_indexed(sched.num_tiles(), |t| {
-                let rows = sched.tile_rows(t);
-                let mut buf = vec![0.0; rows.len() * fout];
-                let mut acc = vec![0i64; fout];
-                let mut alphas: Vec<f64> = Vec::new();
-                for (i, &v) in rows.iter().enumerate() {
-                    let v = v as usize;
-                    let slot = &mut buf[i * fout..(i + 1) * fout];
-                    let neigh = graph.neighbors(v);
-                    if neigh.is_empty() {
-                        // Attention over an empty neighbourhood passes the
-                        // node's own transform through.
-                        slot.copy_from_slice(z.row(v));
-                        continue;
-                    }
-                    alphas.clear();
-                    alphas.extend(neigh.iter().map(|&u| {
-                        ops::leaky_relu_scalar(src_logit[u as usize] + dst_logit[v], 0.2)
-                    }));
-                    engine.lut_softmax_in_place(&mut alphas);
-                    for a in acc.iter_mut() {
-                        *a = 0;
-                    }
-                    for (&u, &a) in neigh.iter().zip(alphas.iter()) {
-                        let u = u as usize;
-                        // Recover the exact integer LUT code of the
-                        // attention weight (the softmax output is a
-                        // multiple of 1/alpha_levels by construction).
-                        #[allow(clippy::cast_possible_truncation)]
-                        let code = (a * alpha_levels).round() as i64;
-                        for (s, &q) in acc.iter_mut().zip(&zcodes[u * fout..(u + 1) * fout]) {
-                            *s += code * i64::from(q);
-                        }
-                    }
-                    let mut rng = Prng::stream(key, v as u64);
-                    for (s, &a) in slot.iter_mut().zip(acc.iter()) {
-                        #[allow(clippy::cast_precision_loss)]
-                        let count = a as f64;
-                        *s = perturb(count, sigma, &mut rng) * acc_scale;
-                    }
-                }
-                buf
-            });
-        let mut out = Matrix::zeros(n, fout);
-        for (t, buf) in tiles.iter().enumerate() {
-            for (i, &v) in sched.tile_rows(t).iter().enumerate() {
-                out.row_mut(v as usize)
-                    .copy_from_slice(&buf[i * fout..(i + 1) * fout]);
+        let out = on_tiles(&sched, fout, |v, slot, acc, alphas| {
+            let neigh = graph.neighbors(v);
+            if neigh.is_empty() {
+                // Attention over an empty neighbourhood passes the node's
+                // own transform through.
+                slot.copy_from_slice(z.row(v));
+                return;
             }
-        }
+            alphas.clear();
+            alphas.extend(
+                neigh
+                    .iter()
+                    .map(|&u| ops::leaky_relu_scalar(src_logit[u as usize] + dst_logit[v], 0.2)),
+            );
+            engine.lut_softmax_in_place(alphas);
+            acc.fill(0);
+            for (&u, &a) in neigh.iter().zip(alphas.iter()) {
+                let u = u as usize;
+                // Recover the exact integer LUT code of the attention
+                // weight (the softmax output is a multiple of
+                // 1/alpha_levels by construction).
+                #[allow(clippy::cast_possible_truncation)]
+                let code = (a * alpha_levels).round() as i64;
+                for (s, &q) in acc.iter_mut().zip(&zcodes[u * fout..(u + 1) * fout]) {
+                    *s += code * i64::from(q);
+                }
+            }
+            read_out(slot, acc, Prng::stream(key, v as u64), sigma, |x| {
+                x * acc_scale
+            });
+        });
         self.trace_aggregate("gat_attention_aggregate", &sched, fout, true);
         Ok(out)
+    }
+
+    /// SOA ReLU in the update units.
+    fn hidden_relu(&mut self, h: &Matrix) -> Matrix {
+        self.engine
+            .engine_mut()
+            .soa_activate(OpticalActivation::Relu, h)
+    }
+}
+
+/// Aggregation operands must have one row per graph vertex.
+fn check_rows(graph: &CsrGraph, h: &Matrix) -> Result<(), PhotonicError> {
+    if h.rows() != graph.num_nodes() {
+        return Err(PhotonicError::InvalidConfig {
+            what: "aggregation features must have one row per graph vertex",
+        });
+    }
+    Ok(())
+}
+
+/// Runs `node(v, slot, acc, scratch)` for every vertex `v` on the sparse
+/// tile schedule: degree-bucketed [`phox_tensor::sparse::ROW_TILE`]-row
+/// tiles (hubs first, so the work-stealing loop never straggles on a
+/// power-law tail) in parallel, with one row buffer per tile (`slot` is
+/// `v`'s `f`-wide row, zeroed) and an integer accumulator and a scratch
+/// vector reused across the tile's vertices. No per-vertex allocation.
+/// Returns the rows in vertex order.
+fn on_tiles(
+    sched: &DegreeBuckets,
+    f: usize,
+    node: impl Fn(usize, &mut [f64], &mut [i64], &mut Vec<f64>) + Sync,
+) -> Matrix {
+    let tiles: Vec<Vec<f64>> = parallel::par_map_indexed(sched.num_tiles(), |t| {
+        let rows = sched.tile_rows(t);
+        let mut buf = vec![0.0; rows.len() * f];
+        let (mut acc, mut scratch) = (vec![0i64; f], Vec::new());
+        for (i, &v) in rows.iter().enumerate() {
+            node(
+                v as usize,
+                &mut buf[i * f..(i + 1) * f],
+                &mut acc,
+                &mut scratch,
+            );
+        }
+        buf
+    });
+    let mut out = Matrix::zeros(sched.rows(), f);
+    for (t, buf) in tiles.iter().enumerate() {
+        for (i, &v) in sched.tile_rows(t).iter().enumerate() {
+            out.row_mut(v as usize)
+                .copy_from_slice(&buf[i * f..(i + 1) * f]);
+        }
+    }
+    out
+}
+
+/// Receiver read-out of accumulated level counts: each count picks up
+/// receiver noise from the vertex's stream `rng`, then `dequantize` maps
+/// it back to a feature value.
+fn read_out(
+    slot: &mut [f64],
+    acc: &[i64],
+    mut rng: Prng,
+    sigma: f64,
+    dequantize: impl Fn(f64) -> f64,
+) {
+    for (s, &a) in slot.iter_mut().zip(acc) {
+        #[allow(clippy::cast_precision_loss)]
+        let count = a as f64;
+        *s = dequantize(perturb(count, sigma, &mut rng));
     }
 }
 
@@ -533,7 +459,7 @@ impl GhostFunctional {
 mod tests {
     use super::*;
     use phox_nn::datasets::sbm;
-    use phox_nn::gnn::GnnConfig;
+    use phox_nn::gnn::{GnnConfig, GnnKind};
     use phox_tensor::{stats, Prng};
 
     fn small_task() -> phox_nn::datasets::LabelledGraph {

@@ -34,11 +34,13 @@
 //! `decode/gemv_calls` (+6·layers: the m = 1 engine-seam products —
 //! Q/K/V, output projection, both feed-forward layers).
 
+use std::cell::RefCell;
+
 use phox_tensor::{Matrix, TensorError};
 
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine, ResidentInt8Engine};
+use crate::engine::Digital;
 use crate::transformer::{
-    decode_context_lengths, FfActivation, TransformerConfig, TransformerKind, TransformerModel,
+    decode_context_lengths, TransformerConfig, TransformerKind, TransformerModel,
 };
 
 /// Per-layer K/V rows of one layer.
@@ -234,6 +236,37 @@ fn head_scores(scores: &mut [f64], q_head: &[f64], k: &[f64], d: usize, lo: usiz
     }
 }
 
+/// Multi-head attention of one query row `q` over a layer's cached K/V
+/// rows, computed in place: returns the `1 × d_model` concatenated head
+/// contexts. `scores` is a reusable buffer (one per step, shared by every
+/// head of every layer).
+fn cached_attention(kv: &LayerKv, q: &[f64], heads: usize, scores: &mut Vec<f64>) -> Matrix {
+    let d = q.len();
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f64).sqrt();
+    scores.resize(kv.rows, 0.0);
+    let mut concat = Matrix::zeros(1, d);
+    for head in 0..heads {
+        let lo = head * dh;
+        let hi = lo + dh;
+        // Scores over the cached context: the per-element dot depends
+        // only on the fixed inner dimension `dh`, so this row equals row
+        // t-1 of the full path's scores.
+        head_scores(scores, &q[lo..hi], &kv.k, d, lo, scale);
+        phox_tensor::ops::softmax_in_place(scores);
+        // Context product in the same sequential order as the full
+        // path's `ops::matmul_seq`: one accumulator per output element,
+        // ascending context index. The SIMD axpy vectorizes across the
+        // `dh` output columns only, so the per-element order (and the
+        // prefix-invariance oracle) is bitwise unchanged.
+        let ctx = &mut concat.as_mut_slice()[lo..hi];
+        for (&wj, vrow) in scores.iter().zip(kv.v.chunks_exact(d)) {
+            phox_tensor::gemm::simd::axpy(ctx, wj, &vrow[lo..hi]);
+        }
+    }
+    concat
+}
+
 /// Per-generation bookkeeping returned by [`TransformerModel::generate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeStats {
@@ -272,7 +305,7 @@ pub struct Generation {
 /// which is how the accelerator holds weights during decode).
 pub struct Int8Decoder<'m> {
     model: &'m TransformerModel,
-    eng: ResidentInt8Engine<'m>,
+    eng: RefCell<Digital<'m>>,
 }
 
 impl Int8Decoder<'_> {
@@ -283,7 +316,7 @@ impl Int8Decoder<'_> {
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
         self.model
-            .decode_step_with(cache, x, &self.eng)
+            .decode_step_with(cache, x, &mut self.eng.borrow_mut())
             .map(|(y, _)| y)
     }
 }
@@ -293,7 +326,7 @@ impl TransformerModel {
     pub fn int8_decoder(&self) -> Int8Decoder<'_> {
         Int8Decoder {
             model: self,
-            eng: ResidentInt8Engine::new(self),
+            eng: RefCell::new(Digital::resident(self)),
         }
     }
 
@@ -310,14 +343,8 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(
-            cache,
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
-        .map(|(y, _)| y)
+        self.decode_step_with(cache, x, &mut Digital::F64)
+            .map(|(y, _)| y)
     }
 
     /// [`TransformerModel::decode_step`] on the true int8 datapath
@@ -328,16 +355,18 @@ impl TransformerModel {
     ///
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn decode_step_int8(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, &Int8Engine).map(|(y, _)| y)
+        self.decode_step_with(cache, x, &mut Digital::Int8)
+            .map(|(y, _)| y)
     }
 
-    /// Shared decode-step implementation. Returns the output row and the
-    /// MACs this step executed.
-    pub(crate) fn decode_step_with(
+    /// Shared decode-step implementation: the shared transformer layer
+    /// body with self-attention over the KV cache. Returns the output row
+    /// and the MACs this step executed.
+    fn decode_step_with(
         &self,
         cache: &mut KvCache,
         x: &Matrix,
-        eng: &dyn MatmulEngine,
+        eng: &mut Digital<'_>,
     ) -> Result<(Matrix, u64), TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -359,57 +388,23 @@ impl TransformerModel {
         cache.validate()?;
 
         let d = cfg.d_model;
-        let dh = cfg.d_head();
-        let heads = cfg.heads;
-        let scale = 1.0 / (dh as f64).sqrt();
         let (d_u64, ff_u64) = (d as u64, cfg.d_ff as u64);
         let mut macs = 0u64;
         let mut h = x.clone();
         // One scores buffer for every head of every layer of this step.
         let mut scores = Vec::with_capacity(cache.rows() + 1);
         for (layer, lw) in self.layers().iter().enumerate() {
-            let q = eng.mm(&h, &lw.w_q)?;
-            let k = eng.mm(&h, &lw.w_k)?;
-            let v = eng.mm(&h, &lw.w_v)?;
-            cache.append(layer, k.row(0), v.row(0))?;
-            let kv = &cache.layers[layer];
-            let t = kv.rows;
-            scores.resize(t, 0.0);
-
-            let mut concat = Matrix::zeros(1, d);
-            for head in 0..heads {
-                let lo = head * dh;
-                let hi = lo + dh;
-                // Scores over the cached context: the per-element dot
-                // depends only on the fixed inner dimension `dh`, so
-                // this row equals row t-1 of the full path's scores.
-                head_scores(&mut scores, &q.row(0)[lo..hi], &kv.k, d, lo, scale);
-                phox_tensor::ops::softmax_in_place(&mut scores);
-                // Context product in the same sequential order as the
-                // full path's `ops::matmul_seq`: one accumulator per
-                // output element, ascending context index. The SIMD axpy
-                // vectorizes across the `dh` output columns only, so the
-                // per-element order (and the prefix-invariance oracle)
-                // is bitwise unchanged.
-                let ctx = &mut concat.as_mut_slice()[lo..hi];
-                for (&wj, vrow) in scores.iter().zip(kv.v.chunks_exact(d)) {
-                    phox_tensor::gemm::simd::axpy(ctx, wj, &vrow[lo..hi]);
-                }
-            }
-            let mha = eng.mm_weight_only(&concat, &lw.w_o)?;
-            let res1 = h.add(&mha)?;
-            let norm1 = phox_tensor::ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
-
-            let inner = eng.mm_weight_only(&norm1, &lw.w_ff1)?;
-            let activated = match cfg.ff_activation {
-                FfActivation::Relu => phox_tensor::ops::relu(&inner),
-                FfActivation::Gelu => phox_tensor::ops::gelu(&inner),
-            };
-            let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
-            let res2 = norm1.add(&ffo)?;
-            h = phox_tensor::ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)?;
-
-            macs += 4 * d_u64 * d_u64 + 2 * d_u64 * t as u64 + 2 * d_u64 * ff_u64;
+            h = self.layer(eng, &h, lw, None, |_, q, k, v| {
+                cache.append(layer, k.row(0), v.row(0))?;
+                Ok(cached_attention(
+                    &cache.layers[layer],
+                    q.row(0),
+                    cfg.heads,
+                    &mut scores,
+                ))
+            })?;
+            let t = cache.layer_rows(layer) as u64;
+            macs += 4 * d_u64 * d_u64 + 2 * d_u64 * t + 2 * d_u64 * ff_u64;
         }
         cache.validate()?;
 
@@ -448,13 +443,7 @@ impl TransformerModel {
     /// decoder-only or `gen_tokens == 0`; shape errors for a malformed
     /// prompt.
     pub fn generate(&self, prompt: &Matrix, gen_tokens: usize) -> Result<Generation, TensorError> {
-        self.generate_with(
-            prompt,
-            gen_tokens,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.generate_with(prompt, gen_tokens, &mut Digital::F64)
     }
 
     /// [`TransformerModel::generate`] on the true int8 datapath with
@@ -468,14 +457,14 @@ impl TransformerModel {
         prompt: &Matrix,
         gen_tokens: usize,
     ) -> Result<Generation, TensorError> {
-        self.generate_with(prompt, gen_tokens, &ResidentInt8Engine::new(self))
+        self.generate_with(prompt, gen_tokens, &mut Digital::resident(self))
     }
 
     fn generate_with(
         &self,
         prompt: &Matrix,
         gen_tokens: usize,
-        eng: &dyn MatmulEngine,
+        eng: &mut Digital<'_>,
     ) -> Result<Generation, TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {

@@ -8,10 +8,10 @@
 
 use phox_tensor::sparse::{self, CsrView, SparseReduce};
 use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
-use phox_tensor::{ops, quant, Matrix, Prng, Quantizer, TensorError};
+use phox_tensor::{quant, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine};
+use crate::engine::{Digital, GnnEngine};
 
 /// A directed graph in compressed sparse row form (in-neighbour lists).
 ///
@@ -400,13 +400,7 @@ impl GnnModel {
     /// Returns a shape error when `features` does not match the graph and
     /// configuration.
     pub fn forward(&self, graph: &CsrGraph, features: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            graph,
-            features,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_with(graph, features, &mut Digital::F64)
     }
 
     /// Inference with fake int8 quantization on all matmul operands.
@@ -419,13 +413,7 @@ impl GnnModel {
         graph: &CsrGraph,
         features: &Matrix,
     ) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            graph,
-            features,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
+        self.forward_with(graph, features, &mut Digital::Pre(&quant::fake_quantize))
     }
 
     /// Inference on the true int8 datapath: combine matmuls run on the
@@ -439,7 +427,7 @@ impl GnnModel {
     ///
     /// Returns a shape error when `features` does not match.
     pub fn forward_int8(&self, graph: &CsrGraph, features: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(graph, features, &Int8Engine)
+        self.forward_with(graph, features, &mut Digital::Int8)
     }
 
     /// Inference with fake quantization at an arbitrary bit width (the
@@ -460,34 +448,58 @@ impl GnnModel {
             quant::fake_quantize_bits(m, bits)
                 .unwrap_or_else(|_| unreachable!("bit width validated above"))
         };
-        self.forward_with(graph, features, &PreEngine { pre: &pre })
+        self.forward_with(graph, features, &mut Digital::Pre(&pre))
     }
 
-    fn forward_with(
+    /// The GNN forward, written once for every backend: aggregate,
+    /// combine and update (Fig. 2) for each layer, with `eng` deciding how
+    /// each stage executes — the digital references here, GHOST's
+    /// photonic datapath in `phox-ghost`. Hidden layers end in ReLU; the
+    /// output layer stays linear (logits).
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error when `features` does not match the graph and
+    /// configuration, and propagates backend failures.
+    pub fn forward_with<E: GnnEngine>(
         &self,
         graph: &CsrGraph,
         features: &Matrix,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
+        eng: &mut E,
+    ) -> Result<Matrix, E::Error> {
         if features.rows() != graph.num_nodes() || features.cols() != self.config.dims[0] {
             return Err(TensorError::ShapeMismatch {
                 lhs: features.shape(),
                 rhs: (graph.num_nodes(), self.config.dims[0]),
-            });
+            }
+            .into());
         }
         let mut h = features.clone();
         let last = self.layers.len() - 1;
         for (l, lw) in self.layers.iter().enumerate() {
             h = match self.config.kind {
-                GnnKind::Gcn => self.gcn_layer(graph, &h, lw, eng)?,
-                GnnKind::GraphSage => self.sage_layer(graph, &h, lw, eng)?,
-                GnnKind::Gin => self.gin_layer(graph, &h, lw, eng)?,
-                GnnKind::Gat => self.gat_layer(graph, &h, lw, eng)?,
+                GnnKind::Gcn => {
+                    let agg = eng.aggregate(graph, &h, Aggregation::Mean, true)?;
+                    eng.mm(&agg, &lw.w)?
+                }
+                GnnKind::GraphSage => {
+                    let agg = eng.aggregate(graph, &h, self.config.aggregation, false)?;
+                    eng.mm(&h.hconcat(&agg)?, &lw.w)?
+                }
+                GnnKind::Gin => {
+                    let agg = eng.aggregate(graph, &h, Aggregation::Sum, false)?;
+                    eng.mm(&h.scale(1.0 + self.epsilon).add(&agg)?, &lw.w)?
+                }
+                GnnKind::Gat => {
+                    // Transform first, then attention over the edges from
+                    // per-node source/destination logits.
+                    let z = eng.mm(&h, &lw.w)?;
+                    let (src, dst) = gat_logits(&z, lw);
+                    eng.attention_aggregate(graph, &z, &src, &dst)?
+                }
             };
-            // Hidden layers use ReLU; the output layer stays linear
-            // (logits).
             if l != last {
-                h = ops::relu(&h);
+                h = eng.hidden_relu(&h);
             }
         }
         Ok(h)
@@ -502,27 +514,18 @@ impl GnnModel {
     /// processed in parallel tiles with member-major accumulation, and
     /// the result is bit-identical for any thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `h` does not have one row per graph vertex.
+    /// Returns a shape error when `h` does not have one row per graph
+    /// vertex.
     pub fn aggregate(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-    ) -> Matrix {
-        let mut out = Matrix::zeros(h.rows(), h.cols());
-        let reduce = match agg {
-            Aggregation::Sum => SparseReduce::Sum,
-            Aggregation::Mean => SparseReduce::Mean,
-            Aggregation::Max => SparseReduce::Max,
-        };
-        if let Err(e) = sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)
-        {
-            panic!("aggregate operands must match the graph: {e}");
-        }
-        out
+    ) -> Result<Matrix, TensorError> {
+        aggregate_f64(graph, h, agg, include_self)
     }
 
     /// The pre-sparse dense-stack aggregation: per vertex, neighbour rows
@@ -533,16 +536,23 @@ impl GnnModel {
     /// for the sparse kernels; production paths use
     /// [`GnnModel::aggregate`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `h` does not have one row per graph vertex.
+    /// Returns a shape error when `h` does not have one row per graph
+    /// vertex.
     pub fn aggregate_dense_stack(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-    ) -> Matrix {
+    ) -> Result<Matrix, TensorError> {
+        if h.rows() != graph.num_nodes() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: h.shape(),
+                rhs: (graph.num_nodes(), h.cols()),
+            });
+        }
         let f = h.cols();
         let mut out = Matrix::zeros(h.rows(), f);
         for v in 0..graph.num_nodes() {
@@ -583,7 +593,7 @@ impl GnnModel {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// [`GnnModel::aggregate`] on the int8 sparse kernel
@@ -592,160 +602,89 @@ impl GnnModel {
     /// schedule, and the mean divides the exact integer sums in f64 at
     /// dequantization. Bit-identical for any thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `h` does not have one row per graph vertex.
+    /// Returns a shape error when `h` does not have one row per graph
+    /// vertex.
     pub fn aggregate_int8(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-    ) -> Matrix {
-        let q = Quantizer::calibrate(h).quantize(h);
-        let f = h.cols();
-        let n = graph.num_nodes();
-        let reduce = match agg {
-            Aggregation::Sum | Aggregation::Mean => I8Reduce::Sum,
-            Aggregation::Max => I8Reduce::Max,
-        };
-        let mut sums = vec![0i32; n * f];
-        if let Err(e) = sparse_i8::aggregate_i8_into(
-            &graph.csr_i8_view(),
-            q.as_i8_slice(),
-            f,
-            reduce,
-            include_self,
-            &mut sums,
-        ) {
-            panic!("aggregate operands must match the graph: {e}");
-        }
-        let scale = q.scale();
-        let mut out = Matrix::zeros(n, f);
-        for v in 0..n {
-            let denom = if agg == Aggregation::Mean {
-                (graph.degree(v) + usize::from(include_self)).max(1) as f64
-            } else {
-                1.0
-            };
-            for c in 0..f {
-                out.set(v, c, sums[v * f + c] as f64 * scale / denom);
-            }
-        }
-        out
+    ) -> Result<Matrix, TensorError> {
+        aggregate_i8(graph, h, agg, include_self)
     }
+}
 
-    /// Dispatches aggregation to the f64 or int8 sparse kernel according
-    /// to the engine.
-    fn aggregate_for(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        agg: Aggregation,
-        include_self: bool,
-        eng: &dyn MatmulEngine,
-    ) -> Matrix {
-        if eng.int8_aggregation() {
-            self.aggregate_int8(graph, h, agg, include_self)
+/// [`GnnModel::aggregate`]: the f64 sparse kernel.
+pub(crate) fn aggregate_f64(
+    graph: &CsrGraph,
+    h: &Matrix,
+    agg: Aggregation,
+    include_self: bool,
+) -> Result<Matrix, TensorError> {
+    let mut out = Matrix::zeros(h.rows(), h.cols());
+    let reduce = match agg {
+        Aggregation::Sum => SparseReduce::Sum,
+        Aggregation::Mean => SparseReduce::Mean,
+        Aggregation::Max => SparseReduce::Max,
+    };
+    sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)?;
+    Ok(out)
+}
+
+/// [`GnnModel::aggregate_int8`]: the int8 sparse kernel.
+pub(crate) fn aggregate_i8(
+    graph: &CsrGraph,
+    h: &Matrix,
+    agg: Aggregation,
+    include_self: bool,
+) -> Result<Matrix, TensorError> {
+    let q = Quantizer::calibrate(h).quantize(h);
+    let f = h.cols();
+    let n = graph.num_nodes();
+    let reduce = match agg {
+        Aggregation::Sum | Aggregation::Mean => I8Reduce::Sum,
+        Aggregation::Max => I8Reduce::Max,
+    };
+    let mut sums = vec![0i32; n * f];
+    sparse_i8::aggregate_i8_into(
+        &graph.csr_i8_view(),
+        q.as_i8_slice(),
+        f,
+        reduce,
+        include_self,
+        &mut sums,
+    )?;
+    let scale = q.scale();
+    let mut out = Matrix::zeros(n, f);
+    for v in 0..n {
+        let denom = if agg == Aggregation::Mean {
+            (graph.degree(v) + usize::from(include_self)).max(1) as f64
         } else {
-            self.aggregate(graph, h, agg, include_self)
+            1.0
+        };
+        for c in 0..f {
+            out.set(v, c, sums[v * f + c] as f64 * scale / denom);
         }
     }
+    Ok(out)
+}
 
-    fn gcn_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, eng);
-        eng.mm(&agg, &lw.w)
-    }
-
-    fn sage_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, eng);
-        let cat = h.hconcat(&agg)?;
-        eng.mm(&cat, &lw.w)
-    }
-
-    fn gin_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, eng);
-        let mixed = h.scale(1.0 + self.epsilon).add(&agg)?;
-        eng.mm(&mixed, &lw.w)
-    }
-
-    fn gat_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        // Transform first: z = h·W, then attention over edges.
-        let z = eng.mm(h, &lw.w)?;
-        let fout = z.cols();
-        let n = graph.num_nodes();
-        // Per-node source/destination attention logits.
-        let mut src_logit = vec![0.0; n];
-        let mut dst_logit = vec![0.0; n];
-        for v in 0..n {
-            let mut s = 0.0;
-            let mut d = 0.0;
-            for c in 0..fout {
+/// Per-node GAT source and destination attention logits of the
+/// transformed features `z`: `z·a_src` and `z·a_dst`, row by row.
+fn gat_logits(z: &Matrix, lw: &GnnLayerWeights) -> (Vec<f64>, Vec<f64>) {
+    (0..z.rows())
+        .map(|v| {
+            let (mut s, mut d) = (0.0, 0.0);
+            for c in 0..z.cols() {
                 s += z.get(v, c) * lw.a_src[c];
                 d += z.get(v, c) * lw.a_dst[c];
             }
-            src_logit[v] = s;
-            dst_logit[v] = d;
-        }
-        // Per-edge attention weights α_u = softmax_u(LeakyReLU(src(u) +
-        // dst(v))), laid out CSR-aligned so the accumulation is one
-        // weighted SpMM through the sparse kernel.
-        let mut alphas = vec![0.0; graph.num_edges()];
-        let offsets = graph.offsets();
-        for v in 0..n {
-            let neigh = graph.neighbors(v);
-            if neigh.is_empty() {
-                continue;
-            }
-            let slot = &mut alphas[offsets[v]..offsets[v + 1]];
-            for (a, &u) in slot.iter_mut().zip(neigh) {
-                *a = ops::leaky_relu_scalar(src_logit[u as usize] + dst_logit[v], 0.2);
-            }
-            let m = slot.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for l in slot.iter_mut() {
-                *l = (*l - m).exp();
-                sum += *l;
-            }
-            for l in slot.iter_mut() {
-                *l /= sum;
-            }
-        }
-        let attention = CsrView::new(n, n, offsets, graph.neighbor_ids(), Some(&alphas))?;
-        let mut out = sparse::spmm(&attention, &z)?;
-        // Self-attention fallback: an isolated node keeps its own
-        // transform.
-        for v in 0..n {
-            if graph.degree(v) == 0 {
-                out.row_mut(v).copy_from_slice(z.row(v));
-            }
-        }
-        Ok(out)
-    }
+            (s, d)
+        })
+        .unzip()
 }
 
 #[cfg(test)]
@@ -782,9 +721,9 @@ mod tests {
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 1, 2, 2), 9).unwrap();
         // The duplicated edge counts once: mean over {6, 3, 9}, not a
         // double-weighted 6.
-        let mean = m.aggregate(&g, &x, Aggregation::Mean, false);
+        let mean = m.aggregate(&g, &x, Aggregation::Mean, false).unwrap();
         assert_eq!(mean.get(2, 0), 6.0);
-        let sum = m.aggregate(&g, &x, Aggregation::Sum, false);
+        let sum = m.aggregate(&g, &x, Aggregation::Sum, false).unwrap();
         assert_eq!(sum.get(2, 0), 18.0);
     }
 
@@ -795,11 +734,46 @@ mod tests {
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 6, 4, 2), 22).unwrap();
         for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max] {
             for include_self in [false, true] {
-                let sparse = m.aggregate(&g, &x, agg, include_self);
-                let dense = m.aggregate_dense_stack(&g, &x, agg, include_self);
+                let sparse = m.aggregate(&g, &x, agg, include_self).unwrap();
+                let dense = m.aggregate_dense_stack(&g, &x, agg, include_self).unwrap();
                 assert_eq!(sparse, dense, "{agg} include_self={include_self}");
             }
         }
+    }
+
+    fn mismatched_h() -> (GnnModel, CsrGraph, Matrix) {
+        let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 4, 4, 2), 23).unwrap();
+        // Two rows for a three-vertex graph, and four for it.
+        (m, triangle(), Matrix::zeros(2, 4))
+    }
+
+    #[test]
+    fn aggregate_rejects_mismatched_h() {
+        let (m, g, h) = mismatched_h();
+        assert!(m.aggregate(&g, &h, Aggregation::Mean, true).is_err());
+        assert!(m
+            .aggregate(&g, &Matrix::zeros(4, 4), Aggregation::Sum, false)
+            .is_err());
+    }
+
+    #[test]
+    fn aggregate_int8_rejects_mismatched_h() {
+        let (m, g, h) = mismatched_h();
+        assert!(m.aggregate_int8(&g, &h, Aggregation::Max, false).is_err());
+        assert!(m
+            .aggregate_int8(&g, &Matrix::zeros(4, 4), Aggregation::Sum, true)
+            .is_err());
+    }
+
+    #[test]
+    fn aggregate_dense_stack_rejects_mismatched_h() {
+        let (m, g, h) = mismatched_h();
+        assert!(m
+            .aggregate_dense_stack(&g, &h, Aggregation::Sum, true)
+            .is_err());
+        assert!(m
+            .aggregate_dense_stack(&g, &Matrix::zeros(4, 4), Aggregation::Max, false)
+            .is_err());
     }
 
     #[test]
@@ -938,18 +912,18 @@ mod tests {
         x.set(2, 1, 7.0);
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 2, 4, 2), 8).unwrap();
 
-        let sum = m.aggregate(&g, &x, Aggregation::Sum, false);
+        let sum = m.aggregate(&g, &x, Aggregation::Sum, false).unwrap();
         assert_eq!(sum.get(2, 0), 8.0);
         assert_eq!(sum.get(2, 1), 0.0);
 
-        let mean = m.aggregate(&g, &x, Aggregation::Mean, false);
+        let mean = m.aggregate(&g, &x, Aggregation::Mean, false).unwrap();
         assert_eq!(mean.get(2, 0), 4.0);
 
-        let max = m.aggregate(&g, &x, Aggregation::Max, false);
+        let max = m.aggregate(&g, &x, Aggregation::Max, false).unwrap();
         assert_eq!(max.get(2, 0), 5.0);
 
         // include_self folds the vertex's own features in.
-        let sum_self = m.aggregate(&g, &x, Aggregation::Sum, true);
+        let sum_self = m.aggregate(&g, &x, Aggregation::Sum, true).unwrap();
         assert_eq!(sum_self.get(2, 1), 7.0);
 
         // Isolated vertices aggregate to zero without self.

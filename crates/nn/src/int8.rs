@@ -13,16 +13,11 @@
 //! digital/LUT periphery, not on the optical MAC array, so the int8
 //! forward quantizes exactly the operands the photonic datapath sees.
 //!
-//! The [`MatmulEngine`] trait is the seam the model forwards are written
-//! against: the legacy engine reproduces the fp64/fake-quant semantics
-//! bit-for-bit (including which operand sites the fake-quant reference
-//! treats), while [`Int8Engine`] routes every projection through the
-//! integer kernel.
+//! The int8 backend of the shared model forwards
+//! ([`crate::engine::MatmulEngine`]) routes every weight product through
+//! [`QuantLinear`].
 
 use phox_tensor::{Matrix, QuantMatrix, Quantizer, RowQuantMatrix, TensorError};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// A linear layer with a pre-quantized int8 weight: quantizes the
 /// incoming activation, multiplies on the int8 kernel with `i32`
@@ -91,123 +86,10 @@ impl QuantLinear {
     }
 }
 
-/// How a model forward pass executes its weight products. The two
-/// methods distinguish the operand sites of the legacy fake-quant
-/// reference: `mm` covers projections where *both* operands are treated
-/// (Q/K/V, cross-attention, GNN combine), `mm_weight_only` the sites
-/// where the reference only treats the weight (attention output
-/// projection and the feed-forward block, whose activations come out of
-/// LayerNorm/softmax already conditioned).
-pub(crate) trait MatmulEngine {
-    /// Product with both operands through the engine's precision model.
-    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError>;
-
-    /// Product where the legacy reference treats only the weight.
-    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError>;
-
-    /// Whether GNN aggregation should run on the int8 sparse kernel.
-    fn int8_aggregation(&self) -> bool {
-        false
-    }
-}
-
-/// The legacy engine: applies a `pre` map (identity for fp64,
-/// [`phox_tensor::quant::fake_quantize`] for the 8-bit accuracy
-/// reference) to operands, preserving the historical call-site semantics
-/// exactly.
-pub(crate) struct PreEngine<'a> {
-    pub pre: &'a dyn Fn(&Matrix) -> Matrix,
-}
-
-impl MatmulEngine for PreEngine<'_> {
-    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        (self.pre)(a).matmul(&(self.pre)(w))
-    }
-
-    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        a.matmul(&(self.pre)(w))
-    }
-}
-
-/// True int8 execution: every weight product runs through
-/// [`QuantLinear`] — both operands quantized, exact `i32` accumulation —
-/// and GNN aggregation uses the int8 sparse kernel. The hardware model
-/// has no "weight-only" sites: everything entering the MAC array is
-/// 8-bit.
-///
-/// Activations are calibrated *per row* (per-token dynamic
-/// quantization): each token's levels depend only on that token, so a
-/// one-row decode step through this engine is bit-identical to the
-/// corresponding row of a full-sequence forward — the property the
-/// KV-cache equivalence oracle in `phox_nn::decode` pins. Weights stay
-/// per-tensor.
-pub(crate) struct Int8Engine;
-
-impl MatmulEngine for Int8Engine {
-    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward_rowwise(a)
-    }
-
-    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        self.mm(a, w)
-    }
-
-    fn int8_aggregation(&self) -> bool {
-        true
-    }
-}
-
-/// [`Int8Engine`] semantics with weights quantized once and kept
-/// resident in int8 form across calls — how the accelerator actually
-/// holds weights during autoregressive decode, where the same layer
-/// weights are hit once per generated token. Weight quantization
-/// ([`QuantLinear::from_weight`]) is deterministic, so memoization is
-/// bitwise-neutral: this engine produces exactly the bytes the stateless
-/// [`Int8Engine`] does, just without re-calibrating `O(layers)` weights
-/// every step.
-///
-/// Weights are keyed by `(data pointer, rows, cols)`; the lifetime
-/// parameter ties the cache to a borrow of the owning model so a key
-/// can never outlive (and thus never alias) the weight it describes.
-pub(crate) struct ResidentInt8Engine<'w> {
-    memo: RefCell<HashMap<(usize, usize, usize), QuantLinear>>,
-    _weights: PhantomData<&'w ()>,
-}
-
-impl<'w> ResidentInt8Engine<'w> {
-    /// A fresh engine whose cache lives as long as the borrow of the
-    /// weight owner (typically the model).
-    pub fn new<T>(_weights: &'w T) -> Self {
-        ResidentInt8Engine {
-            memo: RefCell::new(HashMap::new()),
-            _weights: PhantomData,
-        }
-    }
-}
-
-impl MatmulEngine for ResidentInt8Engine<'_> {
-    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        let key = (w.as_slice().as_ptr() as usize, w.rows(), w.cols());
-        let mut memo = self.memo.borrow_mut();
-        let layer = memo
-            .entry(key)
-            .or_insert_with(|| QuantLinear::from_weight(w));
-        layer.forward_rowwise(a)
-    }
-
-    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        self.mm(a, w)
-    }
-
-    fn int8_aggregation(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phox_tensor::{gemm_i8, quant, stats, Prng};
+    use phox_tensor::{gemm_i8, Prng};
 
     #[test]
     fn quant_linear_matches_raw_kernel_exactly() {
@@ -233,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_engine_tracks_f64_product() {
-        let a = Prng::new(3).fill_normal(6, 12, 0.0, 1.0);
-        let w = Prng::new(4).xavier(12, 5);
-        let exact = a.matmul(&w).unwrap();
-        let int8 = Int8Engine.mm(&a, &w).unwrap();
-        assert!(stats::relative_error(&exact, &int8) < 0.1);
-        assert_eq!(int8, Int8Engine.mm_weight_only(&a, &w).unwrap());
-    }
-
-    #[test]
     fn forward_rowwise_rows_are_batch_independent() {
         // The decode-oracle property at the layer level: a row pushed
         // through alone equals the same row inside a batch, bit for bit.
@@ -255,38 +127,5 @@ mod tests {
             let solo = layer.forward_rowwise(&alone).unwrap();
             assert_eq!(solo.row(0), batch.row(r), "row {r}");
         }
-    }
-
-    #[test]
-    fn resident_engine_matches_stateless_bitwise() {
-        let w1 = Prng::new(9).xavier(10, 4);
-        let w2 = Prng::new(10).xavier(10, 4);
-        let x = Prng::new(11).fill_normal(3, 10, 0.0, 1.0);
-        let weights = (w1, w2);
-        let resident = ResidentInt8Engine::new(&weights);
-        for w in [&weights.0, &weights.1] {
-            // Twice per weight: the second call hits the memo.
-            for _ in 0..2 {
-                assert_eq!(resident.mm(&x, w).unwrap(), Int8Engine.mm(&x, w).unwrap());
-            }
-        }
-        assert_eq!(resident.memo.borrow().len(), 2);
-        assert!(resident.int8_aggregation());
-    }
-
-    #[test]
-    fn pre_engine_reproduces_legacy_semantics() {
-        let a = Prng::new(5).fill_normal(4, 8, 0.0, 1.0);
-        let w = Prng::new(6).xavier(8, 3);
-        let eng = PreEngine {
-            pre: &quant::fake_quantize,
-        };
-        let expected_both = quant::fake_quantize(&a)
-            .matmul(&quant::fake_quantize(&w))
-            .unwrap();
-        assert_eq!(eng.mm(&a, &w).unwrap(), expected_both);
-        let expected_weight_only = a.matmul(&quant::fake_quantize(&w)).unwrap();
-        assert_eq!(eng.mm_weight_only(&a, &w).unwrap(), expected_weight_only);
-        assert!(!eng.int8_aggregation());
     }
 }

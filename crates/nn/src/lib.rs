@@ -13,6 +13,9 @@
 //!   tasks for accuracy experiments;
 //! * [`census`] — the static operation inventory ([`census::OpCensus`])
 //!   both the photonic simulators and the electronic baselines consume;
+//! * [`engine`] — the backend traits the one transformer forward and the
+//!   one GNN forward are written against, with the digital backends; the
+//!   TRON and GHOST functional simulators are the photonic backends;
 //! * [`int8`] — the true int8 execution layer ([`int8::QuantLinear`]):
 //!   weight products on the `i8 x i8 -> i32` kernels behind
 //!   `forward_int8` on both model families;
@@ -38,6 +41,7 @@
 pub mod census;
 pub mod datasets;
 pub mod decode;
+pub mod engine;
 pub mod gnn;
 pub mod int8;
 pub mod quant_eval;

@@ -6,10 +6,10 @@
 //! the encoder/decoder stack used to validate the photonic functional
 //! simulation and the 8-bit quantization claim.
 
-use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
+use phox_tensor::{quant, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine};
+use crate::engine::{Digital, TransformerEngine};
 
 /// Which parts of the original transformer a model keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -400,12 +400,7 @@ impl TransformerModel {
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_with(x, &mut Digital::F64)
     }
 
     /// Full-precision sequence-to-sequence pass: encodes `src`, then
@@ -417,13 +412,7 @@ impl TransformerModel {
     /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
     /// models and shape errors for mismatched inputs.
     pub fn forward_seq2seq(&self, src: &Matrix, tgt: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(
-            src,
-            tgt,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_seq2seq_with(src, tgt, &mut Digital::F64)
     }
 
     /// [`TransformerModel::forward_seq2seq`] with fake int8 quantization
@@ -437,13 +426,7 @@ impl TransformerModel {
         src: &Matrix,
         tgt: &Matrix,
     ) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(
-            src,
-            tgt,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
+        self.forward_seq2seq_with(src, tgt, &mut Digital::Pre(&quant::fake_quantize))
     }
 
     /// [`TransformerModel::forward_seq2seq`] executed on the true int8
@@ -454,7 +437,7 @@ impl TransformerModel {
     ///
     /// Same conditions as [`TransformerModel::forward_seq2seq`].
     pub fn forward_seq2seq_int8(&self, src: &Matrix, tgt: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(src, tgt, &Int8Engine)
+        self.forward_seq2seq_with(src, tgt, &mut Digital::Int8)
     }
 
     /// Forward pass with fake int8 quantization applied to every operand
@@ -465,12 +448,7 @@ impl TransformerModel {
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward_quantized(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            x,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
+        self.forward_with(x, &mut Digital::Pre(&quant::fake_quantize))
     }
 
     /// Forward pass on the true int8 datapath: projections execute on the
@@ -485,7 +463,7 @@ impl TransformerModel {
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward_int8(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(x, &Int8Engine)
+        self.forward_with(x, &mut Digital::Int8)
     }
 
     /// Full-precision causal forward over an arbitrary-length prefix of
@@ -500,12 +478,7 @@ impl TransformerModel {
     /// Returns [`TensorError::InvalidDimension`] for models that are not
     /// decoder-only and shape errors for mismatched inputs.
     pub fn forward_prefix(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_prefix_with(
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_prefix_with(x, &mut Digital::F64)
     }
 
     /// [`TransformerModel::forward_prefix`] on the true int8 datapath
@@ -516,15 +489,15 @@ impl TransformerModel {
     ///
     /// Same conditions as [`TransformerModel::forward_prefix`].
     pub fn forward_prefix_int8(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_prefix_with(x, &Int8Engine)
+        self.forward_prefix_with(x, &mut Digital::Int8)
     }
 
     /// Shared prefix-forward implementation over `x` (`t × d_model`,
     /// any `t >= 1`), causal by construction (decoder-only).
-    pub(crate) fn forward_prefix_with(
+    fn forward_prefix_with(
         &self,
         x: &Matrix,
-        eng: &dyn MatmulEngine,
+        eng: &mut Digital<'_>,
     ) -> Result<Matrix, TensorError> {
         if self.config.kind != TransformerKind::DecoderOnly {
             return Err(TensorError::InvalidDimension {
@@ -537,11 +510,7 @@ impl TransformerModel {
                 rhs: (1, self.config.d_model),
             });
         }
-        let mut h = x.clone();
-        for lw in &self.layers {
-            h = self.layer_forward(&h, lw, eng)?;
-        }
-        Ok(h)
+        self.encode(x, eng)
     }
 
     /// Forward pass with fake quantization at an arbitrary bit width —
@@ -559,165 +528,146 @@ impl TransformerModel {
             quant::fake_quantize_bits(m, bits)
                 .unwrap_or_else(|_| unreachable!("bit width validated above"))
         };
-        self.forward_with(x, &PreEngine { pre: &pre })
+        self.forward_with(x, &mut Digital::Pre(&pre))
     }
 
-    /// Shared forward implementation; `eng` decides how each weight
-    /// product executes (fp64, fake-quant, or the true int8 kernel).
-    fn forward_with(&self, x: &Matrix, eng: &dyn MatmulEngine) -> Result<Matrix, TensorError> {
+    /// The transformer forward, written once for every backend: `eng`
+    /// decides how each operation executes — fp64, fake-quant or int8
+    /// here, TRON's photonic datapath in `phox-tron`. An encoder-decoder
+    /// model runs [`TransformerModel::forward_seq2seq_with`] with `x` as
+    /// both source and target.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error when `x` does not match the configuration,
+    /// and propagates backend failures.
+    pub fn forward_with<E: TransformerEngine>(
+        &self,
+        x: &Matrix,
+        eng: &mut E,
+    ) -> Result<Matrix, E::Error> {
+        self.check_input(x)?;
+        if self.config.kind == TransformerKind::EncoderDecoder {
+            return self.forward_seq2seq_with(x, x, eng);
+        }
+        self.encode(x, eng)
+    }
+
+    /// The sequence-to-sequence forward on any backend: encode `src`,
+    /// then decode `tgt` through causal self-attention and
+    /// cross-attention against the encoder memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
+    /// models and shape errors for mismatched inputs, converted into the
+    /// backend's error; propagates backend failures.
+    pub fn forward_seq2seq_with<E: TransformerEngine>(
+        &self,
+        src: &Matrix,
+        tgt: &Matrix,
+        eng: &mut E,
+    ) -> Result<Matrix, E::Error> {
+        if self.config.kind != TransformerKind::EncoderDecoder {
+            return Err(TensorError::InvalidDimension {
+                what: "seq2seq forward requires an encoder-decoder model",
+            }
+            .into());
+        }
+        self.check_input(src)?;
+        self.check_input(tgt)?;
+        let memory = self.encode(src, eng)?;
+        let heads = self.config.heads;
+        let mut h = tgt.clone();
+        for dw in &self.decoder_layers {
+            h = self.layer(eng, &h, &dw.base, Some((&memory, dw)), |eng, q, k, v| {
+                eng.attention(q, k, v, heads, true)
+            })?;
+        }
+        Ok(h)
+    }
+
+    fn check_input(&self, x: &Matrix) -> Result<(), TensorError> {
         if x.rows() != self.config.seq_len || x.cols() != self.config.d_model {
             return Err(TensorError::ShapeMismatch {
                 lhs: x.shape(),
                 rhs: (self.config.seq_len, self.config.d_model),
             });
         }
-        if self.config.kind == TransformerKind::EncoderDecoder {
-            return self.forward_seq2seq_with(x, x, eng);
-        }
+        Ok(())
+    }
+
+    /// Runs `x` through the encoder (or only) stack; self-attention is
+    /// causal for decoder-only models.
+    fn encode<E: TransformerEngine>(&self, x: &Matrix, eng: &mut E) -> Result<Matrix, E::Error> {
+        let causal = self.config.kind == TransformerKind::DecoderOnly;
+        let heads = self.config.heads;
         let mut h = x.clone();
         for lw in &self.layers {
-            h = self.layer_forward(&h, lw, eng)?;
+            h = self.layer(eng, &h, lw, None, |eng, q, k, v| {
+                eng.attention(q, k, v, heads, causal)
+            })?;
         }
         Ok(h)
     }
 
-    fn forward_seq2seq_with(
+    /// One transformer layer — the one layer body of every forward,
+    /// including the KV-cached decode step. Self-attention maps the Q/K/V
+    /// projections to concatenated head contexts through
+    /// `self_attention`; a decoder layer of an encoder-decoder model then
+    /// runs cross-attention against the encoder `memory`; the
+    /// feed-forward block comes last. Each block ends in its residual
+    /// add and LayerNorm.
+    pub(crate) fn layer<E: TransformerEngine>(
         &self,
-        src: &Matrix,
-        tgt: &Matrix,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        if self.config.kind != TransformerKind::EncoderDecoder {
-            return Err(TensorError::InvalidDimension {
-                what: "seq2seq forward requires an encoder-decoder model",
-            });
-        }
-        for m in [src, tgt] {
-            if m.rows() != self.config.seq_len || m.cols() != self.config.d_model {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: m.shape(),
-                    rhs: (self.config.seq_len, self.config.d_model),
-                });
-            }
-        }
-        // Encode (bidirectional self-attention).
-        let mut memory = src.clone();
-        for lw in &self.layers {
-            memory = self.layer_forward(&memory, lw, eng)?;
-        }
-        // Decode (causal self-attention + cross-attention).
-        let mut h = tgt.clone();
-        for dw in &self.decoder_layers {
-            h = self.decoder_layer_forward(&h, &memory, dw, eng)?;
-        }
-        Ok(h)
-    }
-
-    /// Multi-head scaled-dot-product attention with per-head
-    /// concatenation (Fig. 5(b) buffer & concat) and output projection.
-    fn multi_head_attention(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        w_o: &Matrix,
-        causal: bool,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let mut concat = Matrix::zeros(q.rows(), d);
-        for head in 0..self.config.heads {
-            let lo = head * dh;
-            let hi = lo + dh;
-            let qh = q.col_slice(lo, hi)?;
-            let kh = k.col_slice(lo, hi)?;
-            let vh = v.col_slice(lo, hi)?;
-            let mut scores = qh.matmul(&kh.transpose())?.scale(1.0 / (dh as f64).sqrt());
-            if causal {
-                for r in 0..scores.rows() {
-                    for c in (r + 1)..scores.cols() {
-                        scores.set(r, c, f64::NEG_INFINITY);
-                    }
-                }
-            }
-            // Sequential accumulation over the context dimension: the
-            // masked tail beyond row r carries exact-zero weights, so a
-            // KV-cached decode step (context t, no tail) reproduces row
-            // t-1 of this product bit-for-bit. See [`ops::matmul_seq`].
-            let attn = ops::matmul_seq(&ops::softmax_rows(&scores), &vh)?;
-            for r in 0..attn.rows() {
-                for c in 0..dh {
-                    concat.set(r, lo + c, attn.get(r, c));
-                }
-            }
-        }
-        eng.mm_weight_only(&concat, w_o)
-    }
-
-    fn layer_forward(
-        &self,
+        eng: &mut E,
         x: &Matrix,
         lw: &LayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let causal = self.config.kind == TransformerKind::DecoderOnly;
-
-        let q = eng.mm(x, &lw.w_q)?;
-        let k = eng.mm(x, &lw.w_k)?;
-        let v = eng.mm(x, &lw.w_v)?;
-        let mha = self.multi_head_attention(&q, &k, &v, &lw.w_o, causal, eng)?;
-        let res1 = x.add(&mha)?;
-        let norm1 = ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
-
-        let inner = eng.mm_weight_only(&norm1, &lw.w_ff1)?;
-        let activated = match self.config.ff_activation {
-            FfActivation::Relu => ops::relu(&inner),
-            FfActivation::Gelu => ops::gelu(&inner),
+        cross: Option<(&Matrix, &DecoderLayerWeights)>,
+        self_attention: impl FnOnce(&mut E, &Matrix, &Matrix, &Matrix) -> Result<Matrix, E::Error>,
+    ) -> Result<Matrix, E::Error> {
+        let heads = {
+            let q = eng.mm(x, &lw.w_q)?;
+            let k = eng.mm(x, &lw.w_k)?;
+            let v = eng.mm(x, &lw.w_v)?;
+            self_attention(eng, &q, &k, &v)?
         };
-        let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
-        let res2 = norm1.add(&ffo)?;
-        ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
+        let mut h = add_norm(eng, x, &heads, &lw.w_o, &lw.ln1_gamma, &lw.ln1_beta)?;
+        if let Some((memory, dw)) = cross {
+            let heads = {
+                let q = eng.mm(&h, &dw.w_cq)?;
+                let k = eng.mm(memory, &dw.w_ck)?;
+                let v = eng.mm(memory, &dw.w_cv)?;
+                eng.attention(&q, &k, &v, self.config.heads, false)?
+            };
+            h = add_norm(
+                eng,
+                &h,
+                &heads,
+                &dw.w_co,
+                &dw.ln_cross_gamma,
+                &dw.ln_cross_beta,
+            )?;
+        }
+        let inner = eng.mm_weight_only(&h, &lw.w_ff1)?;
+        let activated = eng.ff_activation(self.config.ff_activation, &inner);
+        add_norm(eng, &h, &activated, &lw.w_ff2, &lw.ln2_gamma, &lw.ln2_beta)
     }
+}
 
-    /// One decoder layer: causal self-attention, cross-attention against
-    /// the encoder memory, then the feed-forward block — each with its
-    /// residual connection and LayerNorm.
-    fn decoder_layer_forward(
-        &self,
-        x: &Matrix,
-        memory: &Matrix,
-        dw: &DecoderLayerWeights,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        let lw = &dw.base;
-        // Causal self-attention.
-        let q = eng.mm(x, &lw.w_q)?;
-        let k = eng.mm(x, &lw.w_k)?;
-        let v = eng.mm(x, &lw.w_v)?;
-        let self_attn = self.multi_head_attention(&q, &k, &v, &lw.w_o, true, eng)?;
-        let res1 = x.add(&self_attn)?;
-        let norm1 = ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
-
-        // Cross-attention: queries from the decoder state, keys/values
-        // from the encoder memory.
-        let cq = eng.mm(&norm1, &dw.w_cq)?;
-        let ck = eng.mm(memory, &dw.w_ck)?;
-        let cv = eng.mm(memory, &dw.w_cv)?;
-        let cross = self.multi_head_attention(&cq, &ck, &cv, &dw.w_co, false, eng)?;
-        let res2 = norm1.add(&cross)?;
-        let norm2 = ops::layer_norm(&res2, &dw.ln_cross_gamma, &dw.ln_cross_beta, 1e-9)?;
-
-        // Feed-forward.
-        let inner = eng.mm_weight_only(&norm2, &lw.w_ff1)?;
-        let activated = match self.config.ff_activation {
-            FfActivation::Relu => ops::relu(&inner),
-            FfActivation::Gelu => ops::gelu(&inner),
-        };
-        let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
-        let res3 = norm2.add(&ffo)?;
-        ops::layer_norm(&res3, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
-    }
+/// `LayerNorm(x + a·w)`: a block's output projection, residual add and
+/// LayerNorm.
+fn add_norm<E: TransformerEngine>(
+    eng: &mut E,
+    x: &Matrix,
+    a: &Matrix,
+    w: &Matrix,
+    gamma: &[f64],
+    beta: &[f64],
+) -> Result<Matrix, E::Error> {
+    let y = eng.mm_weight_only(a, w)?;
+    let sum = eng.residual_add(x, &y)?;
+    eng.layer_norm(&sum, gamma, beta)
 }
 
 #[cfg(test)]

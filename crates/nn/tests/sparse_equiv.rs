@@ -77,8 +77,8 @@ proptest! {
             GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 5, 4, 2), seed).unwrap();
         for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max] {
             for include_self in [false, true] {
-                let sparse = model.aggregate(&g, &x, agg, include_self);
-                let dense = model.aggregate_dense_stack(&g, &x, agg, include_self);
+                let sparse = model.aggregate(&g, &x, agg, include_self).unwrap();
+                let dense = model.aggregate_dense_stack(&g, &x, agg, include_self).unwrap();
                 prop_assert_eq!(sparse, dense, "agg {:?} include_self {}", agg, include_self);
             }
         }
@@ -102,15 +102,15 @@ proptest! {
         let y = model.forward(&g, &x).unwrap();
         let expected = match kind {
             GnnKind::Gcn => {
-                let a = model.aggregate_dense_stack(&g, &x, Aggregation::Mean, true);
+                let a = model.aggregate_dense_stack(&g, &x, Aggregation::Mean, true).unwrap();
                 a.matmul(&model.layers()[0].w).unwrap()
             }
             GnnKind::GraphSage => {
-                let a = model.aggregate_dense_stack(&g, &x, agg, false);
+                let a = model.aggregate_dense_stack(&g, &x, agg, false).unwrap();
                 x.hconcat(&a).unwrap().matmul(&model.layers()[0].w).unwrap()
             }
             GnnKind::Gin => {
-                let a = model.aggregate_dense_stack(&g, &x, Aggregation::Sum, false);
+                let a = model.aggregate_dense_stack(&g, &x, Aggregation::Sum, false).unwrap();
                 let mixed = x.scale(1.0 + model.epsilon()).add(&a).unwrap();
                 mixed.matmul(&model.layers()[0].w).unwrap()
             }

@@ -177,34 +177,16 @@ impl AnalogEngine {
         }
     }
 
-    /// Injects resolved device faults into the datapath.
+    /// Replaces the engine's fault state with `impact` (a zero-fault
+    /// impact still marks the engine faulted; use
+    /// [`AnalogEngine::clear_faults`] to restore it).
     ///
-    /// The receiver noise is inflated by the impact's `sigma_scale`
-    /// (laser droop), and subsequent [`AnalogEngine::matmul`] calls apply
-    /// the stuck weight cells, the residual drift weight gain, and the
-    /// dead ADC lanes. Child engines created afterwards inherit the
-    /// faults, so a faulted accelerator is faulted in every parallel
-    /// unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a context-chained [`PhotonicError::InvalidConfig`] for a
-    /// degenerate geometry or when every receiver lane is dead.
-    pub fn inject_faults(
-        &mut self,
-        impact: &FaultImpact,
-        array_rows: usize,
-        array_channels: usize,
-    ) -> Result<(), PhotonicError> {
-        self.set_fault_impact(impact, array_rows, array_channels)
-    }
-
-    /// Replaces the engine's fault state with `impact`, recomputing the
-    /// effective noise from the stored unfaulted baseline. Unlike a
-    /// repeated [`AnalogEngine::inject_faults`] of old, calling this on
-    /// every schedule step never compounds sigma scales — the engine
-    /// always reflects exactly the *current* fault plan, which is what
-    /// the mid-run [`crate::fault::FaultSchedule`] path needs.
+    /// The receiver noise becomes the unfaulted baseline times the
+    /// impact's `sigma_scale` (laser droop), so repeated calls never
+    /// compound; subsequent [`AnalogEngine::matmul`] calls apply the
+    /// stuck weight cells, the residual drift weight gain, and the dead
+    /// ADC lanes. Child engines created afterwards inherit the faults, so
+    /// a faulted accelerator is faulted in every parallel unit.
     ///
     /// # Errors
     ///
@@ -523,14 +505,6 @@ impl AnalogEngine {
         out
     }
 
-    /// LUT softmax over a plain slice (per-neighbour attention weights in
-    /// GAT). Delegates to [`AnalogEngine::lut_softmax_in_place`].
-    pub fn lut_softmax_slice(&self, logits: &[f64]) -> Vec<f64> {
-        let mut out = logits.to_vec();
-        self.lut_softmax_in_place(&mut out);
-        out
-    }
-
     /// The one LUT-softmax implementation: numerically stable softmax over
     /// `values`, rewritten in place with each probability quantized to the
     /// LUT's output grid. Consumes no noise stream — the LUT is a digital
@@ -683,12 +657,13 @@ mod tests {
     }
 
     #[test]
-    fn lut_softmax_slice_sums_near_one() {
+    fn lut_softmax_in_place_sums_near_one() {
         let eng = AnalogEngine::ideal(8, 8, 1);
-        let p = eng.lut_softmax_slice(&[1.0, 2.0, 3.0]);
+        let mut p = [1.0, 2.0, 3.0];
+        eng.lut_softmax_in_place(&mut p);
         let sum: f64 = p.iter().sum();
         assert!((sum - 1.0).abs() < 0.02);
-        assert!(eng.lut_softmax_slice(&[]).is_empty());
+        eng.lut_softmax_in_place(&mut []);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! **either degrades gracefully with a measurable accuracy loss or
 //! returns a chained error — it never panics.**
 
+use crate::analog::AnalogEngine;
 use crate::mr::MrConfig;
 use crate::noise::NoiseBudget;
 use crate::tuning::HybridTuning;
@@ -751,6 +752,201 @@ impl FaultImpact {
             && self.weight_gain == 1.0
             && self.dead_lanes.is_empty()
             && self.stuck.is_empty()
+    }
+}
+
+/// The device models and bank-array geometry a [`FaultAwareEngine`]
+/// builds its engine from and resolves faults against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Datapath {
+    /// Weight-bank microring model.
+    pub mr: MrConfig,
+    /// Resonance tuning circuits.
+    pub tuning: HybridTuning,
+    /// Receiver optical noise budget.
+    pub noise: NoiseBudget,
+    /// ADC resolution, bits.
+    pub adc_bits: u32,
+    /// DAC resolution, bits.
+    pub dac_bits: u32,
+    /// Rows (waveguides) of each bank array.
+    pub array_rows: usize,
+    /// Wavelength channels of each bank array.
+    pub array_channels: usize,
+}
+
+impl Datapath {
+    fn check_geometry(
+        &self,
+        rows: usize,
+        channels: usize,
+        what: &'static str,
+    ) -> Result<(), PhotonicError> {
+        if rows != self.array_rows || channels != self.array_channels {
+            return Err(PhotonicError::InvalidConfig { what });
+        }
+        Ok(())
+    }
+
+    /// Resolves `plan` against the device models into `engine`.
+    fn apply(&self, plan: &FaultPlan, engine: &mut AnalogEngine) -> Result<(), PhotonicError> {
+        let impact = plan.impact(&self.mr, &self.tuning, &self.noise, self.adc_bits)?;
+        engine.set_fault_impact(&impact, self.array_rows, self.array_channels)
+    }
+}
+
+/// Mid-run fault-schedule state: the model-time fault timeline plus the
+/// device models needed to re-resolve the active plan as time advances.
+#[derive(Debug, Clone, PartialEq)]
+struct FaultRuntime {
+    schedule: FaultSchedule,
+    datapath: Datapath,
+    current: FaultPlan,
+}
+
+/// An [`AnalogEngine`] plus the faults it runs under: none, a fixed
+/// [`FaultPlan`], or a model-time [`FaultSchedule`] re-resolved by
+/// [`FaultAwareEngine::advance_to`] — the fault runtime of the TRON and
+/// GHOST functional simulators, which add their own error context.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultAwareEngine {
+    engine: AnalogEngine,
+    runtime: Option<FaultRuntime>,
+}
+
+impl FaultAwareEngine {
+    fn fault_free(engine: AnalogEngine) -> Self {
+        FaultAwareEngine {
+            engine,
+            runtime: None,
+        }
+    }
+
+    /// A fault-free engine with receiver noise derived from the
+    /// datapath's provisioned optical budget.
+    ///
+    /// # Errors
+    ///
+    /// Propagates noise-budget failures.
+    pub fn new(datapath: &Datapath, seed: u64) -> Result<Self, PhotonicError> {
+        AnalogEngine::from_noise_budget(&datapath.noise, datapath.adc_bits, seed)
+            .map(Self::fault_free)
+    }
+
+    /// A noiseless, fault-free engine (quantization effects only).
+    pub fn ideal(datapath: &Datapath, seed: u64) -> Self {
+        Self::fault_free(AnalogEngine::ideal(
+            datapath.adc_bits,
+            datapath.dac_bits,
+            seed,
+        ))
+    }
+
+    /// A fault-free engine with an explicit receiver noise level.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine construction failures.
+    pub fn with_noise(
+        datapath: &Datapath,
+        relative_sigma: f64,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        AnalogEngine::new(relative_sigma, datapath.adc_bits, datapath.dac_bits, seed)
+            .map(Self::fault_free)
+    }
+
+    /// An engine with the faults of `plan`, validated against the bank
+    /// geometry and resolved against the device models
+    /// ([`FaultPlan::impact`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the plan is out of geometry or a fault is
+    /// uncompensatable.
+    pub fn with_faults(
+        datapath: &Datapath,
+        plan: FaultPlan,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        datapath.check_geometry(
+            plan.array_rows,
+            plan.array_channels,
+            "fault plan geometry must match the accelerator's bank arrays",
+        )?;
+        let plan = plan.validated()?;
+        let mut engine = FaultAwareEngine::new(datapath, seed)?;
+        datapath.apply(&plan, &mut engine.engine)?;
+        Ok(engine)
+    }
+
+    /// An engine driven by a model-time [`FaultSchedule`], advanced to
+    /// `t = 0`. An empty schedule is a strict no-op: the engine behaves
+    /// byte-identically to [`FaultAwareEngine::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the schedule geometry does not match the
+    /// datapath, or a fault active at `t = 0` is uncompensatable.
+    pub fn with_fault_schedule(
+        datapath: &Datapath,
+        schedule: FaultSchedule,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        datapath.check_geometry(
+            schedule.array_rows,
+            schedule.array_channels,
+            "fault schedule geometry must match the accelerator's bank arrays",
+        )?;
+        let mut engine = FaultAwareEngine::new(datapath, seed)?;
+        engine.runtime = Some(FaultRuntime {
+            schedule,
+            datapath: *datapath,
+            current: FaultPlan::new(datapath.array_rows, datapath.array_channels),
+        });
+        engine.advance_to(0.0)?;
+        Ok(engine)
+    }
+
+    /// Advances the fault schedule to model time `t_s`, re-resolving the
+    /// active [`FaultPlan`] into the engine. Cheap when the plan has not
+    /// changed since the last call; a no-op without a schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a newly active fault is uncompensatable
+    /// (drift beyond the tuning range, droop below the noise floor, all
+    /// receiver lanes dead): the accelerator is down, not silently wrong.
+    pub fn advance_to(&mut self, t_s: f64) -> Result<(), PhotonicError> {
+        let Some(rt) = self.runtime.as_mut() else {
+            return Ok(());
+        };
+        let plan = rt.schedule.plan_at(t_s)?;
+        if plan == rt.current {
+            return Ok(());
+        }
+        if plan.is_empty() {
+            self.engine.clear_faults();
+        } else {
+            rt.datapath.apply(&plan, &mut self.engine)?;
+        }
+        rt.current = plan;
+        Ok(())
+    }
+
+    /// The attached fault schedule, if any.
+    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
+        self.runtime.as_ref().map(|rt| &rt.schedule)
+    }
+
+    /// The analog engine.
+    pub fn engine(&self) -> &AnalogEngine {
+        &self.engine
+    }
+
+    /// The analog engine, mutably (operations advance its noise streams).
+    pub fn engine_mut(&mut self) -> &mut AnalogEngine {
+        &mut self.engine
     }
 }
 

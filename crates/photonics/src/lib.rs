@@ -183,6 +183,49 @@ impl PhotonicError {
     }
 }
 
+/// The ledger-invariant guard of the cost models: a decomposition
+/// (per-stage energies, latency components) must sum back to the total it
+/// decomposes to within 1e-9 relative error.
+///
+/// # Errors
+///
+/// [`PhotonicError::NumericalFailure`] naming `what` when the two
+/// disagree or either is NaN.
+pub fn check_close(what: &'static str, expected: f64, actual: f64) -> Result<(), PhotonicError> {
+    let scale = expected.abs().max(actual.abs()).max(f64::MIN_POSITIVE);
+    let rel = (expected - actual).abs() / scale;
+    if rel.is_nan() || rel > 1e-9 {
+        return Err(PhotonicError::NumericalFailure {
+            what,
+            detail: format!("expected {expected:e}, decomposition sums to {actual:e}"),
+        });
+    }
+    Ok(())
+}
+
+/// The part of `total_s` not hidden behind `hidden_s`: the serialised
+/// remainder after overlap, which cannot be negative.
+///
+/// # Errors
+///
+/// [`PhotonicError::NumericalFailure`] naming `what` for a negative or
+/// NaN remainder, instead of a `.max(0.0)` clamp that would hide a
+/// modeling bug.
+pub fn exposed_time_s(
+    what: &'static str,
+    total_s: f64,
+    hidden_s: f64,
+) -> Result<f64, PhotonicError> {
+    let exposed = total_s - hidden_s;
+    if exposed.is_nan() || exposed < 0.0 {
+        return Err(PhotonicError::NumericalFailure {
+            what,
+            detail: format!("total {total_s:e} s is less than the hidden component {hidden_s:e} s"),
+        });
+    }
+    Ok(exposed)
+}
+
 /// Extension trait adding [`PhotonicError::ctx`] directly on `Result`,
 /// so call sites can annotate failures with the stage they occurred in
 /// without erasing the cause:

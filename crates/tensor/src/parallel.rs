@@ -2,33 +2,38 @@
 //!
 //! The workspace deliberately carries no thread-pool dependency: these
 //! helpers build on [`std::thread::scope`], which is allocation-cheap and
-//! has no global state beyond the thread-count override below. All
-//! scheduling is deterministic-output by construction — work items are
-//! keyed by index, so the result never depends on which thread ran what.
+//! has no global state. All scheduling is deterministic-output by
+//! construction — work items are keyed by index, so the result never
+//! depends on which thread ran what. Each worker inherits the caller's
+//! thread-count pin and [`phox_trace`] handle, so a nested parallel loop
+//! sees the same pin and events from inside a loop land in the trace of
+//! the run that started it.
 //!
 //! Thread count resolution order:
 //!
-//! 1. an active [`with_threads`] override (tests pin 1/2/8 this way),
+//! 1. an active [`with_threads`] pin on the calling thread (tests pin
+//!    1/2/8 this way),
 //! 2. the `PHOX_NUM_THREADS` environment variable,
 //! 3. the `RAYON_NUM_THREADS` environment variable (honoured for
 //!    compatibility with common HPC job scripts),
 //! 4. [`std::thread::available_parallelism`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Active thread-count override (0 = none). Set only by [`with_threads`].
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+use phox_trace::Trace;
 
-/// Serialises [`with_threads`] callers so concurrent tests cannot clobber
-/// each other's override.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// This thread's thread-count pin (0 = none). Set only by
+    /// [`with_threads`] and by workers inheriting their caller's pin.
+    static THREAD_PIN: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Number of worker threads parallel helpers may use.
 pub fn max_threads() -> usize {
-    let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
+    let pin = THREAD_PIN.with(Cell::get);
+    if pin > 0 {
+        return pin;
     }
     for var in ["PHOX_NUM_THREADS", "RAYON_NUM_THREADS"] {
         if let Some(n) = std::env::var(var)
@@ -44,29 +49,50 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` with the worker thread count pinned to `n`.
+/// Runs `f` with the worker thread count pinned to `n` on this thread
+/// (and in the workers of every parallel helper `f` calls).
 ///
 /// Overrides the environment and hardware defaults for the duration of
 /// `f`; used by the determinism test suites to prove results are
-/// bit-identical across thread counts. Callers are serialised, so nesting
-/// `with_threads` inside `f` deadlocks.
+/// bit-identical across thread counts. Pins on other threads are
+/// unaffected, so concurrently running tests cannot clobber each other.
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n > 0, "thread count must be positive");
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = THREAD_OVERRIDE.swap(n, Ordering::Relaxed);
+    let prev = THREAD_PIN.with(|pin| pin.replace(n));
     // Restore on unwind as well, so a panicking test can't leak its pin.
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::Relaxed);
+            THREAD_PIN.with(|pin| pin.set(self.0));
         }
     }
     let _restore = Restore(prev);
     f()
+}
+
+/// The per-thread context a worker inherits from the thread that
+/// started the parallel loop.
+struct Inherited {
+    pin: usize,
+    trace: Trace,
+}
+
+impl Inherited {
+    fn capture() -> Self {
+        Inherited {
+            pin: THREAD_PIN.with(Cell::get),
+            trace: phox_trace::active(),
+        }
+    }
+
+    fn install(&self) {
+        THREAD_PIN.with(|pin| pin.set(self.pin));
+        phox_trace::install(self.trace.clone());
+    }
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
@@ -84,10 +110,12 @@ where
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let inherited = Inherited::capture();
     let mut buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
+                    inherited.install();
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -144,12 +172,14 @@ where
     for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
         buckets[i % threads].push((i, chunk));
     }
+    let inherited = Inherited::capture();
     std::thread::scope(|s| {
-        let f = &f;
+        let (f, inherited) = (&f, &inherited);
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
                 s.spawn(move || {
+                    inherited.install();
                     for (i, chunk) in bucket {
                         f(i, chunk);
                     }
@@ -186,6 +216,12 @@ mod tests {
             let v = with_threads(threads, || par_map_indexed(100, |i| i * i));
             assert_eq!(v, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn workers_inherit_the_pin() {
+        let seen = with_threads(3, || par_map_indexed(6, |_| max_threads()));
+        assert_eq!(seen, vec![3; 6]);
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! 1. **Zero dependencies.** crates.io is unreachable in this build
 //!    environment; JSON is written with the in-tree writer ([`json`]).
 //! 2. **Opt-in with near-zero disabled overhead.** Instrumentation sites
-//!    guard on [`enabled`], a single relaxed atomic load, so benchmark
+//!    guard on [`enabled`], a single thread-local load, so benchmark
 //!    numbers are unaffected when no trace is installed.
-//! 3. **Deterministic exports.** Library instrumentation records only
+//! 2. **Scoped to the run.** A trace is installed on the thread that
+//!    runs the workload ([`with_installed`]) and carried into
+//!    `phox_tensor::parallel` workers; runs on other threads never see
+//!    it.
+//! 4. **Deterministic exports.** Library instrumentation records only
 //!    model-time quantities (simulated seconds, joules, counters, tile
 //!    indices) — never wall clock — and the exporters sort events by
 //!    content, so a fixed-seed run produces byte-identical output
@@ -31,10 +35,10 @@
 pub mod json;
 pub mod manifest;
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use json::{json_number, json_string};
@@ -715,42 +719,45 @@ impl Drop for WallSpan {
     }
 }
 
-// --- process-global install point -----------------------------------------
+// --- per-thread install point ---------------------------------------------
 //
 // `phox_tensor::gemm` sits at the bottom of the dependency stack and is
 // called from deep inside parallel tile loops; threading a `&Trace`
 // parameter through every signature would churn the whole workspace API.
-// Instead a single global handle is installed for the duration of a
-// profiled run. The fast path for uninstrumented runs is one relaxed
-// atomic load.
+// Instead a handle is installed on the calling thread for the duration of
+// a profiled run, so concurrent runs on other threads (traced or not)
+// never write into it. `phox_tensor::parallel` captures the caller's
+// handle and re-installs it in each scoped worker, so tile-level events
+// still land in the run's trace. The fast path for uninstrumented runs is
+// one thread-local load.
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Trace> = RwLock::new(Trace::disabled());
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-/// Whether a recording trace is currently installed. One relaxed atomic
-/// load — instrumentation sites guard on this before doing any work.
-#[inline]
-pub fn enabled() -> bool {
-    TRACING.load(AtomicOrdering::Relaxed)
+thread_local! {
+    static TRACING: Cell<bool> = const { Cell::new(false) };
+    static ACTIVE: RefCell<Trace> = const { RefCell::new(Trace::disabled()) };
 }
 
-/// The currently installed trace handle (the disabled handle if none).
+/// Whether a recording trace is installed on this thread. One
+/// thread-local load — instrumentation sites guard on this before doing
+/// any work.
+#[inline]
+pub fn enabled() -> bool {
+    TRACING.with(Cell::get)
+}
+
+/// The trace handle installed on this thread (the disabled handle if
+/// none).
 pub fn active() -> Trace {
     if !enabled() {
         return Trace::disabled();
     }
-    ACTIVE.read().unwrap_or_else(|e| e.into_inner()).clone()
+    ACTIVE.with(|slot| slot.borrow().clone())
 }
 
-/// Installs `trace` as the process-global handle, returning the previous
-/// one. Prefer [`with_installed`] in tests — it serializes installs so
-/// concurrently running tests cannot observe each other's traces.
+/// Installs `trace` as this thread's handle, returning the previous one.
+/// Prefer [`with_installed`], which restores the previous handle.
 pub fn install(trace: Trace) -> Trace {
-    let mut slot = ACTIVE.write().unwrap_or_else(|e| e.into_inner());
-    let prev = std::mem::replace(&mut *slot, trace);
-    TRACING.store(slot.is_enabled(), AtomicOrdering::Relaxed);
-    prev
+    TRACING.with(|t| t.set(trace.is_enabled()));
+    ACTIVE.with(|slot| slot.replace(trace))
 }
 
 struct Restore(Option<Trace>);
@@ -763,12 +770,9 @@ impl Drop for Restore {
     }
 }
 
-/// Runs `f` with `trace` installed as the global handle, restoring the
-/// previous handle afterwards (also on panic). Installs are serialized on
-/// a process-wide mutex, mirroring `phox_tensor::parallel::with_threads`,
-/// so parallel test binaries see a consistent global.
+/// Runs `f` with `trace` installed as this thread's handle, restoring
+/// the previous handle afterwards (also on panic).
 pub fn with_installed<T>(trace: Trace, f: impl FnOnce() -> T) -> T {
-    let _guard = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = install(trace);
     let _restore = Restore(Some(prev));
     f()

@@ -8,45 +8,46 @@
 //! residuals. Used to validate that the accelerator computes the same
 //! results as the digital int8 reference within noise tolerance.
 //!
-//! The signal-chain arithmetic lives in
-//! [`phox_photonics::analog::AnalogEngine`]; this module wires a
-//! transformer's dataflow (Fig. 5) through it.
+//! The forward itself is `phox-nn`'s one transformer forward
+//! ([`TransformerModel::forward_with`]); [`TronFunctional`] is its
+//! photonic backend. The signal-chain arithmetic lives in
+//! [`phox_photonics::analog::AnalogEngine`] and the fault runtime in
+//! [`FaultAwareEngine`].
 
-use phox_nn::transformer::{
-    DecoderLayerWeights, FfActivation, LayerWeights, TransformerKind, TransformerModel,
-};
+use phox_nn::engine::{concat_heads, mask_future, MatmulEngine, TransformerEngine};
+use phox_nn::transformer::{FfActivation, TransformerModel};
 use phox_photonics::analog::AnalogEngine;
 use phox_photonics::devices::OpticalActivation;
-use phox_photonics::fault::{FaultPlan, FaultSchedule};
-use phox_photonics::mr::MrConfig;
-use phox_photonics::noise::NoiseBudget;
-use phox_photonics::tuning::HybridTuning;
+use phox_photonics::fault::{Datapath, FaultAwareEngine, FaultPlan, FaultSchedule};
 use phox_photonics::{Ctx, PhotonicError};
 use phox_tensor::{parallel, Matrix};
 
 use crate::config::TronConfig;
 
-/// Mid-run fault-schedule state: the model-time fault timeline plus the
-/// device models needed to re-resolve the active plan as time advances.
-#[derive(Debug, Clone, PartialEq)]
-struct FaultRuntime {
-    schedule: FaultSchedule,
-    mr: MrConfig,
-    tuning: HybridTuning,
-    noise: NoiseBudget,
-    bits: u32,
-    current: FaultPlan,
-}
-
 /// Functional TRON simulator: executes a [`TransformerModel`] through the
 /// analog engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TronFunctional {
-    engine: AnalogEngine,
-    fault_runtime: Option<FaultRuntime>,
+    engine: FaultAwareEngine,
+}
+
+fn datapath(config: &TronConfig) -> Datapath {
+    Datapath {
+        mr: config.mr,
+        tuning: config.tuning,
+        noise: config.noise,
+        adc_bits: config.adc.bits,
+        dac_bits: config.dac.bits,
+        array_rows: config.array_rows,
+        array_channels: config.array_channels,
+    }
 }
 
 impl TronFunctional {
+    fn from_engine(engine: FaultAwareEngine) -> Self {
+        TronFunctional { engine }
+    }
+
     /// Builds the functional simulator with receiver noise derived from
     /// the configuration's provisioned 8-bit optical budget.
     ///
@@ -54,24 +55,16 @@ impl TronFunctional {
     ///
     /// Propagates noise-budget failures.
     pub fn new(config: &TronConfig, seed: u64) -> Result<Self, PhotonicError> {
-        Ok(TronFunctional {
-            engine: AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?,
-            fault_runtime: None,
-        })
+        FaultAwareEngine::new(&datapath(config), seed).map(Self::from_engine)
     }
 
-    /// Builds a noiseless functional simulator (quantization effects
-    /// only).
+    /// Builds a noiseless simulator (quantization effects only).
     pub fn ideal(config: &TronConfig, seed: u64) -> Self {
-        TronFunctional {
-            engine: AnalogEngine::ideal(config.adc.bits, config.dac.bits, seed),
-            fault_runtime: None,
-        }
+        Self::from_engine(FaultAwareEngine::ideal(&datapath(config), seed))
     }
 
-    /// Builds a functional simulator with an explicit receiver noise
-    /// level — used by robustness sweeps that stress the datapath beyond
-    /// its provisioned operating point.
+    /// Builds a simulator with an explicit receiver noise level, for
+    /// robustness sweeps beyond the provisioned operating point.
     ///
     /// # Errors
     ///
@@ -81,56 +74,31 @@ impl TronFunctional {
         relative_sigma: f64,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        Ok(TronFunctional {
-            engine: AnalogEngine::new(relative_sigma, config.adc.bits, config.dac.bits, seed)?,
-            fault_runtime: None,
-        })
+        FaultAwareEngine::with_noise(&datapath(config), relative_sigma, seed).map(Self::from_engine)
     }
 
-    /// Builds a functional simulator with injected device faults.
-    ///
-    /// The plan is validated against the configuration's bank-array
-    /// geometry and resolved against its device models
-    /// ([`phox_photonics::fault::FaultPlan::impact`]); the resulting
-    /// degradation (stuck weights, drift gain error, dead ADC lanes,
-    /// droop-inflated noise) applies to every analog operation, including
-    /// the per-head child engines.
+    /// Builds a simulator with injected device faults
+    /// ([`FaultAwareEngine::with_faults`]); the degradation applies to
+    /// every analog operation, including the per-head child engines.
     ///
     /// # Errors
     ///
     /// Returns a context-chained error when the plan is out of geometry
-    /// or the fault is uncompensatable (drift beyond the tuning range,
-    /// droop below the noise floor).
+    /// or a fault is uncompensatable.
     pub fn with_faults(
         config: &TronConfig,
         plan: FaultPlan,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if plan.array_rows != config.array_rows || plan.array_channels != config.array_channels {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault plan geometry must match the accelerator's bank arrays",
-            }
-            .ctx("injecting device faults into TRON"));
-        }
-        let plan = plan.validated().ctx("injecting device faults into TRON")?;
-        let impact = plan
-            .impact(&config.mr, &config.tuning, &config.noise, config.adc.bits)
-            .ctx("injecting device faults into TRON")?;
-        let mut engine = AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?;
-        engine
-            .inject_faults(&impact, config.array_rows, config.array_channels)
-            .ctx("injecting device faults into TRON")?;
-        Ok(TronFunctional {
-            engine,
-            fault_runtime: None,
-        })
+        FaultAwareEngine::with_faults(&datapath(config), plan, seed)
+            .ctx("injecting device faults into TRON")
+            .map(Self::from_engine)
     }
 
-    /// Builds a functional simulator driven by a model-time
-    /// [`FaultSchedule`]: call [`TronFunctional::advance_to`] before each
-    /// forward pass and the simulator re-resolves the faults active at
-    /// that instant. An empty schedule is a strict no-op — the simulator
-    /// behaves byte-identically to [`TronFunctional::new`].
+    /// Builds a simulator driven by a model-time [`FaultSchedule`]: call
+    /// [`TronFunctional::advance_to`] before each forward pass. An empty
+    /// schedule is a strict no-op — the simulator behaves byte-identically
+    /// to [`TronFunctional::new`].
     ///
     /// # Errors
     ///
@@ -142,70 +110,32 @@ impl TronFunctional {
         schedule: FaultSchedule,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if schedule.array_rows != config.array_rows
-            || schedule.array_channels != config.array_channels
-        {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault schedule geometry must match the accelerator's bank arrays",
-            }
-            .ctx("attaching fault schedule to TRON"));
-        }
-        let mut sim = TronFunctional::new(config, seed)?;
-        sim.fault_runtime = Some(FaultRuntime {
-            schedule,
-            mr: config.mr,
-            tuning: config.tuning,
-            noise: config.noise,
-            bits: config.adc.bits,
-            current: FaultPlan::new(config.array_rows, config.array_channels),
-        });
-        sim.advance_to(0.0)?;
-        Ok(sim)
+        FaultAwareEngine::with_fault_schedule(&datapath(config), schedule, seed)
+            .ctx("attaching fault schedule to TRON")
+            .map(Self::from_engine)
     }
 
-    /// Advances the fault schedule to model time `t_s`, re-resolving the
-    /// active [`FaultPlan`] into the analog engine. Cheap when the plan
-    /// has not changed since the last call; a no-op without a schedule.
+    /// Advances the fault schedule to model time `t_s`
+    /// ([`FaultAwareEngine::advance_to`]).
     ///
     /// # Errors
     ///
     /// Returns a context-chained error when a newly active fault is
-    /// uncompensatable (drift beyond the tuning range, droop below the
-    /// noise floor, all receiver lanes dead) — the accelerator is down,
-    /// not silently wrong.
+    /// uncompensatable: the accelerator is down, not silently wrong.
     pub fn advance_to(&mut self, t_s: f64) -> Result<(), PhotonicError> {
-        let Some(rt) = self.fault_runtime.as_mut() else {
-            return Ok(());
-        };
-        let plan = rt
-            .schedule
-            .plan_at(t_s)
-            .ctx("advancing TRON fault schedule")?;
-        if plan == rt.current {
-            return Ok(());
-        }
-        if plan.is_empty() {
-            self.engine.clear_faults();
-        } else {
-            let impact = plan
-                .impact(&rt.mr, &rt.tuning, &rt.noise, rt.bits)
-                .ctx("advancing TRON fault schedule")?;
-            self.engine
-                .set_fault_impact(&impact, plan.array_rows, plan.array_channels)
-                .ctx("advancing TRON fault schedule")?;
-        }
-        rt.current = plan;
-        Ok(())
+        self.engine
+            .advance_to(t_s)
+            .ctx("advancing TRON fault schedule")
     }
 
     /// The attached fault schedule, if any.
     pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.fault_runtime.as_ref().map(|rt| &rt.schedule)
+        self.engine.fault_schedule()
     }
 
     /// The underlying analog engine.
     pub fn engine(&self) -> &AnalogEngine {
-        &self.engine
+        self.engine.engine()
     }
 
     /// Runs the photonic forward pass of `model` on `x`
@@ -215,21 +145,13 @@ impl TronFunctional {
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] on shape mismatch.
+    /// Returns an error on shape mismatch.
     pub fn forward(
         &mut self,
         model: &TransformerModel,
         x: &Matrix,
     ) -> Result<Matrix, PhotonicError> {
-        if model.config().kind == TransformerKind::EncoderDecoder {
-            return self.forward_seq2seq(model, x, x);
-        }
-        self.check_shape(model, x)?;
-        let mut h = x.clone();
-        for lw in model.layers() {
-            h = self.encoder_layer(model, &h, lw)?;
-        }
-        Ok(h)
+        model.forward_with(x, self)
     }
 
     /// Photonic sequence-to-sequence pass: encode `src`, decode `tgt`
@@ -237,164 +159,93 @@ impl TronFunctional {
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] for non-encoder-decoder
-    /// models or shape mismatches.
+    /// Returns an error for non-encoder-decoder models or shape
+    /// mismatches.
     pub fn forward_seq2seq(
         &mut self,
         model: &TransformerModel,
         src: &Matrix,
         tgt: &Matrix,
     ) -> Result<Matrix, PhotonicError> {
-        if model.config().kind != TransformerKind::EncoderDecoder {
-            return Err(PhotonicError::InvalidConfig {
-                what: "seq2seq forward requires an encoder-decoder model",
-            });
-        }
-        self.check_shape(model, src)?;
-        self.check_shape(model, tgt)?;
-        let mut memory = src.clone();
-        for lw in model.layers() {
-            memory = self.encoder_layer(model, &memory, lw)?;
-        }
-        let mut h = tgt.clone();
-        for dw in model.decoder_layers() {
-            h = self.decoder_layer(model, &h, &memory, dw)?;
-        }
-        Ok(h)
+        model.forward_seq2seq_with(src, tgt, self)
     }
+}
 
-    fn check_shape(&self, model: &TransformerModel, x: &Matrix) -> Result<(), PhotonicError> {
-        let cfg = model.config();
-        if x.rows() != cfg.seq_len || x.cols() != cfg.d_model {
-            return Err(PhotonicError::InvalidConfig {
-                what: "input shape must match the model configuration",
-            });
-        }
-        Ok(())
+/// Every weight product runs on the analog MAC array; the hardware has
+/// no weight-only sites.
+impl MatmulEngine for TronFunctional {
+    type Error = PhotonicError;
+
+    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+        self.engine.engine_mut().matmul(a, w)
     }
+}
 
+impl TransformerEngine for TronFunctional {
     /// Analog multi-head attention: per-head optical Q·Kᵀ (eq. (3) keeps
-    /// it fully analog), digital LUT softmax, optical context matmul and
-    /// output projection.
+    /// it fully analog), digital LUT softmax and optical context matmul.
     ///
     /// Heads run in parallel, each on a deterministic child engine keyed
     /// by `(operation key, head index)` — see
     /// [`AnalogEngine::make_child`] — so the result is bit-identical for
     /// any thread count.
-    fn analog_mha(
+    fn attention(
         &mut self,
-        model: &TransformerModel,
         q: &Matrix,
         k: &Matrix,
         v: &Matrix,
-        w_o: &Matrix,
+        heads: usize,
         causal: bool,
     ) -> Result<Matrix, PhotonicError> {
-        let cfg = model.config();
-        let d = cfg.d_model;
-        let dh = cfg.d_head();
-        let key = self.engine.stream_key();
-        let parent = &self.engine;
-        let contexts: Vec<Result<Matrix, PhotonicError>> =
-            parallel::par_map_indexed(cfg.heads, |head| {
-                let mut engine = parent.make_child(key, head as u64);
-                let lo = head * dh;
-                let hi = lo + dh;
-                let qh = q.col_slice(lo, hi).ctx("slicing query head columns")?;
-                let kh = k.col_slice(lo, hi).ctx("slicing key head columns")?;
-                let vh = v.col_slice(lo, hi).ctx("slicing value head columns")?;
-                let mut scores = engine
-                    .matmul(&qh, &kh.transpose())?
-                    .scale(1.0 / (dh as f64).sqrt());
-                if causal {
-                    for r in 0..scores.rows() {
-                        for c in (r + 1)..scores.cols() {
-                            scores.set(r, c, f64::NEG_INFINITY);
-                        }
-                    }
-                }
-                let attn = engine.lut_softmax(&scores);
-                engine.matmul(&attn, &vh)
-            });
-        let mut concat = Matrix::zeros(q.rows(), d);
-        for (head, ctx) in contexts.into_iter().enumerate() {
-            let ctx = ctx?;
-            let lo = head * dh;
-            for r in 0..ctx.rows() {
-                for c in 0..dh {
-                    concat.set(r, lo + c, ctx.get(r, c));
-                }
+        let dh = q.cols() / heads;
+        let parent = self.engine.engine_mut();
+        let key = parent.stream_key();
+        let parent = &*parent;
+        let contexts = parallel::par_map_indexed(heads, |head| {
+            let mut engine = parent.make_child(key, head as u64);
+            let (lo, hi) = (head * dh, head * dh + dh);
+            let qh = q.col_slice(lo, hi).ctx("slicing query head columns")?;
+            let kh = k.col_slice(lo, hi).ctx("slicing key head columns")?;
+            let vh = v.col_slice(lo, hi).ctx("slicing value head columns")?;
+            let mut scores = engine
+                .matmul(&qh, &kh.transpose())?
+                .scale(1.0 / (dh as f64).sqrt());
+            if causal {
+                mask_future(&mut scores);
             }
+            let attn = engine.lut_softmax(&scores);
+            engine.matmul(&attn, &vh)
+        });
+        Ok(concat_heads(
+            &contexts.into_iter().collect::<Result<Vec<_>, _>>()?,
+        ))
+    }
+
+    /// Coherent residual addition.
+    fn residual_add(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, PhotonicError> {
+        self.engine.engine_mut().coherent_add(x, y)
+    }
+
+    /// Optical LayerNorm.
+    fn layer_norm(
+        &mut self,
+        x: &Matrix,
+        gamma: &[f64],
+        beta: &[f64],
+    ) -> Result<Matrix, PhotonicError> {
+        self.engine.engine_mut().optical_layer_norm(x, gamma, beta)
+    }
+
+    /// ReLU maps onto an SOA; GELU is realised digitally between
+    /// conversions (modelled as exact).
+    fn ff_activation(&mut self, f: FfActivation, x: &Matrix) -> Matrix {
+        match f {
+            FfActivation::Relu => self
+                .engine
+                .engine_mut()
+                .soa_activate(OpticalActivation::Relu, x),
+            FfActivation::Gelu => phox_tensor::ops::gelu(x),
         }
-        self.engine.matmul(&concat, w_o)
-    }
-
-    fn encoder_layer(
-        &mut self,
-        model: &TransformerModel,
-        h: &Matrix,
-        lw: &LayerWeights,
-    ) -> Result<Matrix, PhotonicError> {
-        let cfg = model.config();
-        let causal = cfg.kind == TransformerKind::DecoderOnly;
-        let q = self.engine.matmul(h, &lw.w_q)?;
-        let k = self.engine.matmul(h, &lw.w_k)?;
-        let v = self.engine.matmul(h, &lw.w_v)?;
-        let mha = self.analog_mha(model, &q, &k, &v, &lw.w_o, causal)?;
-        let res1 = self.engine.coherent_add(h, &mha)?;
-        let norm1 = self
-            .engine
-            .optical_layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta)?;
-        self.feed_forward(model, &norm1, lw)
-    }
-
-    fn decoder_layer(
-        &mut self,
-        model: &TransformerModel,
-        h: &Matrix,
-        memory: &Matrix,
-        dw: &DecoderLayerWeights,
-    ) -> Result<Matrix, PhotonicError> {
-        let lw = &dw.base;
-        // Causal self-attention.
-        let q = self.engine.matmul(h, &lw.w_q)?;
-        let k = self.engine.matmul(h, &lw.w_k)?;
-        let v = self.engine.matmul(h, &lw.w_v)?;
-        let self_attn = self.analog_mha(model, &q, &k, &v, &lw.w_o, true)?;
-        let res1 = self.engine.coherent_add(h, &self_attn)?;
-        let norm1 = self
-            .engine
-            .optical_layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta)?;
-        // Cross-attention against the encoder memory.
-        let cq = self.engine.matmul(&norm1, &dw.w_cq)?;
-        let ck = self.engine.matmul(memory, &dw.w_ck)?;
-        let cv = self.engine.matmul(memory, &dw.w_cv)?;
-        let cross = self.analog_mha(model, &cq, &ck, &cv, &dw.w_co, false)?;
-        let res2 = self.engine.coherent_add(&norm1, &cross)?;
-        let norm2 = self
-            .engine
-            .optical_layer_norm(&res2, &dw.ln_cross_gamma, &dw.ln_cross_beta)?;
-        self.feed_forward(model, &norm2, lw)
-    }
-
-    /// The feed-forward block plus its residual and LayerNorm.
-    fn feed_forward(
-        &mut self,
-        model: &TransformerModel,
-        h: &Matrix,
-        lw: &LayerWeights,
-    ) -> Result<Matrix, PhotonicError> {
-        let inner = self.engine.matmul(h, &lw.w_ff1)?;
-        // The FF nonlinearity: ReLU maps onto an SOA; GELU is realised
-        // digitally between conversions (modelled as exact).
-        let activated = match model.config().ff_activation {
-            FfActivation::Relu => self.engine.soa_activate(OpticalActivation::Relu, &inner),
-            FfActivation::Gelu => phox_tensor::ops::gelu(&inner),
-        };
-        let ffo = self.engine.matmul(&activated, &lw.w_ff2)?;
-        let res2 = self.engine.coherent_add(h, &ffo)?;
-        self.engine
-            .optical_layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta)
     }
 }
 
@@ -514,7 +365,7 @@ mod tests {
 #[cfg(test)]
 mod encoder_decoder_tests {
     use super::*;
-    use phox_nn::transformer::TransformerConfig;
+    use phox_nn::transformer::{TransformerConfig, TransformerKind};
     use phox_tensor::{stats, Prng};
 
     fn encdec_model(seed: u64) -> TransformerModel {

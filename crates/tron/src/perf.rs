@@ -19,7 +19,7 @@ use phox_memsim::dram::HbmStack;
 use phox_memsim::sram::{Sram, SramConfig};
 use phox_nn::transformer::{TransformerConfig, TransformerKind};
 use phox_photonics::fault::FaultImpact;
-use phox_photonics::{Ctx, PhotonicError};
+use phox_photonics::{check_close, exposed_time_s, Ctx, PhotonicError};
 
 use crate::config::TronConfig;
 
@@ -720,22 +720,6 @@ impl TronAccelerator {
     }
 }
 
-/// Asserts that `actual` matches `expected` to within 1e-9 relative
-/// error — the ledger-invariant guard: a decomposition (per-stage
-/// energies, latency components) must sum back to the total it claims to
-/// decompose, or the roll-up and the itemisation have silently diverged.
-fn check_close(what: &'static str, expected: f64, actual: f64) -> Result<(), PhotonicError> {
-    let scale = expected.abs().max(actual.abs()).max(f64::MIN_POSITIVE);
-    let rel = (expected - actual).abs() / scale;
-    if rel.is_nan() || rel > 1e-9 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("expected {expected:e}, decomposition sums to {actual:e}"),
-        });
-    }
-    Ok(())
-}
-
 /// The decode-phase op count: the generation census minus the prefill
 /// census. Generating at least one token strictly adds operations, so a
 /// non-positive difference means the census arithmetic regressed — a
@@ -756,23 +740,6 @@ fn decode_census_ops(
             ),
         }),
     }
-}
-
-/// The part of `total_s` not hidden behind `hidden_s` — the exposed
-/// (serialised) remainder after overlap. By construction
-/// [`overlap_time_s`] returns at least the larger operand, so a negative
-/// remainder can only mean a NaN or a modeling bug upstream; it is a
-/// typed [`PhotonicError::NumericalFailure`] instead of a silent
-/// `.max(0.0)` clamp that would zero the evidence away.
-fn exposed_time_s(what: &'static str, total_s: f64, hidden_s: f64) -> Result<f64, PhotonicError> {
-    let exposed = total_s - hidden_s;
-    if exposed.is_nan() || exposed < 0.0 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("total {total_s:e} s is less than the hidden component {hidden_s:e} s"),
-        });
-    }
-    Ok(exposed)
 }
 
 /// Scales only the per-matmul analog components (laser, converters,

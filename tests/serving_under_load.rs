@@ -83,3 +83,36 @@ fn serving_run_is_fully_observable() {
     // The Chrome export renders the series as counter events.
     assert!(handle.export_chrome().contains("\"ph\":\"C\""));
 }
+
+#[test]
+fn concurrent_runs_keep_their_traces_apart() {
+    // Two traced runs and one untraced run on separate threads at once:
+    // each trace holds exactly its own run's occupancy samples, and the
+    // untraced run writes into neither.
+    let occupancy_samples = |t: &trace::Trace| {
+        t.events()
+            .iter()
+            .filter(|e| e.track == "serve" && e.name == "batch_occupancy")
+            .count() as u64
+    };
+    let (a, b) = (trace::Trace::new(), trace::Trace::new());
+    let start = std::sync::Barrier::new(3);
+    let run = |rate_hz| {
+        start.wait();
+        run_at(rate_hz)
+    };
+    let (report_a, report_b) = std::thread::scope(|s| {
+        let ta = s.spawn(|| trace::with_installed(a.clone(), || run(4_000.0)));
+        let tb = s.spawn(|| trace::with_installed(b.clone(), || run(16_000.0)));
+        let plain = s.spawn(|| run(32_000.0));
+        assert!(plain.join().expect("untraced run").windows > 0);
+        (
+            ta.join().expect("traced run a"),
+            tb.join().expect("traced run b"),
+        )
+    });
+    assert_ne!(report_a.windows, report_b.windows);
+    assert_eq!(occupancy_samples(&a), report_a.windows);
+    assert_eq!(occupancy_samples(&b), report_b.windows);
+    assert!(!trace::enabled(), "no trace leaks onto the test thread");
+}
